@@ -285,12 +285,12 @@ _HAND_TABLE = [
 
 def criterion_10():
     """Region map against a hand-classified table, byte-identical across
-    worker counts.
+    ``CKN_LAB_THREADS`` values.
 
     The CLI entry point ``cli.main`` runs in this process, once with
-    ``CKN_LAB_THREADS=1`` and once with ``4``; the pool size is read from
-    the environment on every call, so both worker counts are exercised.
-    The caller's ``CKN_LAB_THREADS`` (set or unset) is restored
+    ``CKN_LAB_THREADS=1`` and once with ``4``.  Sweeps run in one thread
+    and only validate the variable, so the two maps must match byte for
+    byte.  The caller's ``CKN_LAB_THREADS`` (set or unset) is restored
     afterwards, and the JSON error line of a failing run is reported."""
     saved = os.environ.get("CKN_LAB_THREADS")
     with tempfile.TemporaryDirectory() as tmp:

@@ -3,10 +3,9 @@
 Single-point queries print one JSON object; sweeps print CSV; the region
 map can additionally be rendered as SVG (a presentation layer on top of
 the CSV, never a substitute for it).  All outputs are deterministic:
-identical flags produce byte-identical files regardless of the worker
-count, because sweep results are collected in input order before any
-byte is written.  Library errors surface as single-line JSON on stderr
-with exit code 2.
+identical flags produce byte-identical files, and sweeps run in input
+order in one thread.  Library errors surface as single-line JSON on
+stderr with exit code 2.
 
 Commands where a quantity with two circulating conventions is computed
 (the threshold-curve sign, the closed-form inner exponent) also write a
@@ -21,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -91,10 +89,12 @@ def _g(x) -> str:
     return format(float(x), ".17g")
 
 
-def _thread_count() -> int:
+def _check_thread_env() -> None:
+    # sweeps run in one thread; the variable is still validated so that a
+    # bad value stays a usage error
     raw = os.environ.get("CKN_LAB_THREADS")
     if raw is None:
-        return os.cpu_count() or 1
+        return
     try:
         n = int(raw)
     except ValueError:
@@ -102,7 +102,6 @@ def _thread_count() -> int:
     if n < 1:
         raise _UsageError(
             f"CKN_LAB_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -267,17 +266,12 @@ def _cmd_fs_curve(cfg: RunConfig) -> int:
         raise _UsageError("--a-max must be >= --a-min")
     T, dx = cfg.grid
     a_values = _nodes(a_min, a_max, steps)
-
-    def one(a):
+    _check_thread_env()
+    lines = ["a,b_fs_closed,b_fs_numeric,abs_err"]
+    for a in a_values:
         closed = b_fs(N, a)
         numeric = find_fs_threshold(N, a, cfg.tol, T=T, dx=dx)
-        return a, closed, numeric, abs(numeric - closed)
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        rows = list(pool.map(one, a_values))
-    rows.sort(key=lambda row: row[0])
-    lines = ["a,b_fs_closed,b_fs_numeric,abs_err"]
-    for row in rows:
+        row = (a, closed, numeric, abs(numeric - closed))
         lines.append(",".join(_g(x) for x in row))
     _emit("\n".join(lines) + "\n", cfg.output_path)
     _write_discrepancies(cfg.output_path)
@@ -490,12 +484,9 @@ def _cmd_regionmap(cfg: RunConfig) -> int:
                           "b_min <= b_max")
     a_nodes = _nodes(a_min, a_max, na)
     b_nodes = _nodes(b_min, b_max, nb)
-
-    def one_column(a):
-        return [region_label(N, a, b).variant.value for b in b_nodes]
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        labels = list(pool.map(one_column, a_nodes))
+    _check_thread_env()
+    labels = [[region_label(N, a, b).variant.value for b in b_nodes]
+              for a in a_nodes]
 
     fmt = cfg.format or "csv"
     if fmt == "csv":
@@ -589,6 +580,12 @@ def _config_from_args(args) -> RunConfig:
         raise _UsageError(f"--dt must be positive, got {args.dt}")
     if not (args.tol > 0):
         raise _UsageError(f"--tol must be positive, got {args.tol}")
+    for key in ("a", "b", "T", "dt", "tol", "a_min", "a_max", "b_min",
+                "b_max"):
+        value = getattr(args, key, None)
+        if value is not None and not math.isfinite(value):
+            flag = "--" + key.replace("_", "-")
+            raise _UsageError(f"{flag} must be finite, got {value}")
     extras = {"T_given": T_given}
     for key in ("a_min", "a_max", "b_min", "b_max", "na", "nb",
                 "steps", "kmax", "in_path"):

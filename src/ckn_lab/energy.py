@@ -34,6 +34,7 @@ from .errors import (
     CriticalA,
     InvalidStep,
     NonpositiveValues,
+    NotConverged,
     TailNotDecayed,
     WindowOutOfGrid,
 )
@@ -141,7 +142,9 @@ def _lp_r_space(profile: LogGridProfile) -> float:
 
     The radial line is split into fixed log-width segments so the
     Gauss-Kronrod rule never faces the full exponential range at once;
-    the segment sum is accumulated in grid order (deterministic).
+    the segment sum is accumulated in grid order (deterministic).  Raises
+    NotConverged when the weight r^{N-1-bp} overflows a float on the grid
+    (large -bp, e.g. N = 2, a = -2.55, b = -2.35).
     """
     p = profile.params
     expo = p.N - 1.0 - p.b * p.p
@@ -157,8 +160,13 @@ def _lp_r_space(profile: LogGridProfile) -> float:
         # rounding relative to the running total) from chasing pure
         # relative tolerance; the sweep order is fixed, so deterministic
         floor = 1e-16 * (1.0 + abs(total))
-        val, _ = quad(integrand, math.exp(ta), math.exp(tb),
-                      epsabs=floor, epsrel=1e-10, limit=200)
+        try:
+            val, _ = quad(integrand, math.exp(ta), math.exp(tb),
+                          epsabs=floor, epsrel=1e-10, limit=200)
+        except OverflowError as exc:
+            raise NotConverged("r-space integrand overflowed the float range",
+                               N=p.N, a=p.a, b=p.b,
+                               segment=(float(ta), float(tb))) from exc
         total += val
     return surface_measure(p.N) * total
 

@@ -80,12 +80,23 @@ BLOWUP_LIMIT = 1e8
 
 
 # ---------------------------------------------------------------------------
-# fixed-step RK4 kernels (numba-compiled when available)
+# fixed-step RK4 kernels
 
-def _rhs_pair(w, v, lam2, pm1):
-    dw = v
-    dv = lam2 * w - abs(w) ** (pm1 - 1.0) * w
-    return dw, dv
+def _rk4_step(w, v, h, lam2, q):
+    """One classical RK4 step of w_t = v, v_t = lam2 w - |w|^q w; returns
+    the new (w, v).  The first stage's w-slope is v itself."""
+    k1v = lam2 * w - abs(w) ** q * w
+    k2w = v + 0.5 * h * k1v
+    w2 = w + 0.5 * h * v
+    k2v = lam2 * w2 - abs(w2) ** q * w2
+    k3w = v + 0.5 * h * k2v
+    w3 = w + 0.5 * h * k2w
+    k3v = lam2 * w3 - abs(w3) ** q * w3
+    k4w = v + h * k3v
+    w4 = w + h * k3w
+    k4v = lam2 * w4 - abs(w4) ** q * w4
+    return (w + h * (v + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0,
+            v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0)
 
 
 def _rk4_classify(w0, v0, h, n_max, lam2, pm1):
@@ -95,14 +106,10 @@ def _rk4_classify(w0, v0, h, n_max, lam2, pm1):
     event 2 = turned (w_t >= 0 while w > 0, after the first step),
     event 3 = blow-up, event 0 = no event within n_max steps.
     """
+    q = pm1 - 1.0
     w, v = w0, v0
     for i in range(n_max):
-        k1w, k1v = _rhs_pair(w, v, lam2, pm1)
-        k2w, k2v = _rhs_pair(w + 0.5 * h * k1w, v + 0.5 * h * k1v, lam2, pm1)
-        k3w, k3v = _rhs_pair(w + 0.5 * h * k2w, v + 0.5 * h * k2v, lam2, pm1)
-        k4w, k4v = _rhs_pair(w + h * k3w, v + h * k3v, lam2, pm1)
-        w = w + h * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
-        v = v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        w, v = _rk4_step(w, v, h, lam2, q)
         if w <= 0.0:
             return 1, (i + 1) * h
         if v >= 0.0:
@@ -115,31 +122,17 @@ def _rk4_classify(w0, v0, h, n_max, lam2, pm1):
 def _rk4_store(w0, v0, h, n_steps, lam2, pm1, out_w, out_v):
     """Integrate n_steps and store every state; returns steps completed
     before |w| exceeded the blow-up limit (n_steps if none)."""
+    q = pm1 - 1.0
     w, v = w0, v0
     out_w[0] = w
     out_v[0] = v
     for i in range(n_steps):
-        k1w, k1v = _rhs_pair(w, v, lam2, pm1)
-        k2w, k2v = _rhs_pair(w + 0.5 * h * k1w, v + 0.5 * h * k1v, lam2, pm1)
-        k3w, k3v = _rhs_pair(w + 0.5 * h * k2w, v + 0.5 * h * k2v, lam2, pm1)
-        k4w, k4v = _rhs_pair(w + h * k3w, v + h * k3v, lam2, pm1)
-        w = w + h * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
-        v = v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        w, v = _rk4_step(w, v, h, lam2, q)
         out_w[i + 1] = w
         out_v[i + 1] = v
         if abs(w) > BLOWUP_LIMIT:
             return i + 1
     return n_steps
-
-
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
-
-    _rhs_pair = njit(cache=True)(_rhs_pair)
-    _rk4_classify = njit(cache=True)(_rk4_classify)
-    _rk4_store = njit(cache=True)(_rk4_store)
-except Exception:  # pragma: no cover
-    pass
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import sys
 import xml.dom.minidom
 
 import numpy as np
+import pytest
 
 import ckn_lab
 from ckn_lab import b_fs, extremal_form, make_params, read_profile_csv
@@ -238,6 +239,34 @@ def test_library_errors_surface_as_json_exit_2(capsys):
     err = _run_error(capsys, ["classify", "--N", "3", "--a", "nope",
                               "--b", "0"])
     assert err["code"] == "usage_error"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--N", "3", "--a", "nan", "--b", "0"],
+    ["classify", "--N", "3", "--a", "0", "--b", "inf"],
+    ["regionmap", "--a-min", "nan", "--na", "3", "--nb", "3"],
+    ["regionmap", "--a-max", "inf", "--na", "3", "--nb", "3"],
+    ["regionmap", "--b-min=-inf", "--na", "3", "--nb", "3"],
+    ["regionmap", "--b-max", "nan", "--na", "3", "--nb", "3"],
+    ["fs-curve", "--N", "3", "--a-min", "-1", "--a-max", "inf"],
+    ["shoot", "--N", "3", "--a", "0", "--b", "0", "--T", "inf"],
+    ["energy", "--N", "3", "--a", "0", "--b", "0", "--T", "inf"],
+    ["extremal", "--N", "3", "--a", "-1", "--b", "-0.2", "--dt", "inf"],
+    ["shoot", "--N", "3", "--a", "0", "--b", "0", "--tol", "inf"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_float_flags_are_usage_errors(capsys, argv):
+    err = _run_error(capsys, argv)
+    assert err["code"] == "usage_error"
+    assert "must be finite" in err["message"]
+
+
+def test_energy_overflow_is_a_typed_error(capsys):
+    # r^{N-1-bp} leaves the float range inside the r-space quadrature
+    err = _run_error(capsys, ["energy", "--N", "2", "--a=-2.55",
+                              "--b=-2.35", "--format", "json"])
+    assert err["code"] == "not_converged"
+    assert (err["context"]["N"], err["context"]["a"],
+            err["context"]["b"]) == (2, -2.55, -2.35)
 
 
 def test_bad_thread_env_is_a_usage_error(capsys, monkeypatch):

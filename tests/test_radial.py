@@ -26,6 +26,7 @@ from ckn_lab import (
     shoot_homoclinic,
     spherical_average_monotone,
 )
+from ckn_lab.radial import _rk4_classify, _rk4_store
 
 
 def test_first_integral_drift_small_step():
@@ -63,6 +64,27 @@ def test_integrate_matches_closed_form_homoclinic():
     run = integrate(params, w0, 0.0, (0.0, 8.0), 1e-3)
     expect = extremal_value(form, run.profile.t())
     assert np.max(np.abs(run.profile.values - expect)) < 1e-9
+
+
+@pytest.mark.parametrize("scale, event", [
+    (2.0, 1),    # above the homoclinic peak: crosses w = 0
+    (1.05, 2),   # between w_eq and the peak: turns with w > 0
+])
+def test_classify_and_store_kernels_take_the_same_steps(scale, event):
+    params = make_params(3, 0.0, 0.0)
+    lam2, pm1 = params.lam ** 2, params.p - 1.0
+    w0 = scale * params.lam ** (2.0 / (params.p - 2.0))
+    h, n = 1e-3, 40000
+    ev, t_event = _rk4_classify(w0, 0.0, h, n, lam2, pm1)
+    assert ev == event
+    out_w, out_v = np.empty(n + 1), np.empty(n + 1)
+    assert _rk4_store(w0, 0.0, h, n, lam2, pm1, out_w, out_v) == n
+    # first stored step that meets the classify event's condition
+    hit = (out_w[1:] <= 0.0) if event == 1 else (out_v[1:] >= 0.0)
+    first = int(np.argmax(hit)) + 1
+    assert hit.any() and t_event == first * h
+    # and no step before it meets either event's condition
+    assert np.all(out_w[1:first] > 0.0) and np.all(out_v[1:first] < 0.0)
 
 
 def test_integrate_rejects_bad_step_and_degenerate_params():
