@@ -16,114 +16,15 @@ power.  Modules:
     cli       deterministic command-line driver
 """
 
-from .errors import (
-    BlowUp,
-    CknLabError,
-    CriticalA,
-    DegenerateParams,
-    DualCheckFailed,
-    InadmissibleB,
-    InvalidDimension,
-    InvalidStep,
-    NoConvergence,
-    NonpositiveScale,
-    NonpositiveValues,
-    NoSignChange,
-    NotConverged,
-    OutOfDomain,
-    OutOfGrid,
-    ResolutionTooLarge,
-    TailNotDecayed,
-    TooShort,
-    UnverifiedProfile,
-    WindowOutOfGrid,
-    WrongRegime,
-)
-from .params import (
-    CknParams,
-    Region,
-    RegionLabel,
-    make_params,
-    b_fs,
-    b_fs_printed,
-    del_direct_bound,
-    classify_region,
-    region_label,
-    dualize_params,
-)
-from .profiles import (
-    ExtremalForm,
-    LogGridProfile,
-    extremal_form,
-    extremal_value,
-    extremal_dt_value,
-    extremal_wtt_value,
-    extremal_radial_value,
-    sample_extremal,
-    sample_radial_form,
-    scale_profile,
-    dualize_profile,
-    to_radial_u,
-    write_profile_csv,
-    read_profile_csv,
-)
-from .radial import (
-    OdeRun,
-    LiouvilleCase,
-    Conclusion,
-    LiouvilleVerdict,
-    integrate,
-    shoot_homoclinic,
-    residual_autonomous,
-    spherical_average_monotone,
-    liouville_hardy_endpoint,
-    liouville_critical_a,
-    first_derivative_4,
-    second_derivative_4,
-)
-from .spectrum import (
-    ModeOperator,
-    EigenReport,
-    build_mode_operator,
-    principal_eigenvalue,
-    mode_eigenvalues,
-    fs_mode_eigenvalue,
-    find_fs_threshold,
-)
-from .energy import (
-    EnergyReport,
-    surface_measure,
-    composite_simpson,
-    energy_report,
-    verify_dual_energy,
-    hardy_check,
-    decay_fit,
-)
+from . import energy, errors, params, profiles, radial, spectrum
+from .errors import *
+from .params import *
+from .profiles import *
+from .radial import *
+from .spectrum import *
+from .energy import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CknLabError", "InvalidDimension", "InadmissibleB", "OutOfDomain",
-    "DegenerateParams", "NonpositiveScale", "OutOfGrid", "DualCheckFailed",
-    "InvalidStep", "BlowUp", "NoConvergence", "TooShort", "WrongRegime",
-    "UnverifiedProfile", "NotConverged", "NoSignChange", "TailNotDecayed",
-    "CriticalA", "WindowOutOfGrid", "NonpositiveValues", "ResolutionTooLarge",
-    "CknParams", "Region", "RegionLabel", "make_params", "b_fs",
-    "b_fs_printed", "del_direct_bound", "classify_region", "region_label",
-    "dualize_params",
-    "ExtremalForm", "LogGridProfile", "extremal_form", "extremal_value",
-    "extremal_dt_value", "extremal_wtt_value",
-    "extremal_radial_value", "sample_extremal", "sample_radial_form",
-    "scale_profile", "dualize_profile", "to_radial_u",
-    "write_profile_csv", "read_profile_csv",
-    "OdeRun", "LiouvilleCase", "Conclusion", "LiouvilleVerdict",
-    "integrate", "shoot_homoclinic", "residual_autonomous",
-    "spherical_average_monotone", "liouville_hardy_endpoint",
-    "liouville_critical_a", "first_derivative_4", "second_derivative_4",
-    "ModeOperator", "EigenReport", "build_mode_operator",
-    "principal_eigenvalue", "mode_eigenvalues", "fs_mode_eigenvalue",
-    "find_fs_threshold",
-    "EnergyReport", "surface_measure", "composite_simpson",
-    "energy_report", "verify_dual_energy", "hardy_check", "decay_fit",
-    "__version__",
-]
+__all__ = (errors.__all__ + params.__all__ + profiles.__all__ + radial.__all__
+           + spectrum.__all__ + energy.__all__ + ["__version__"])

@@ -19,9 +19,9 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from .errors import CknLabError, ResolutionTooLarge
 from .params import (
@@ -46,7 +46,7 @@ from .radial import residual_autonomous, shoot_homoclinic
 from .spectrum import build_mode_operator, find_fs_threshold, mode_eigenvalues
 from .energy import energy_report, hardy_check, verify_dual_energy
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main"]
 
 MAX_MAP_NODES = 2000
 
@@ -61,24 +61,18 @@ _REGION_COLORS = [
 ]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: command, point, grid, and output routing."""
-
-    command: str
-    params: Optional[Tuple[int, float, float]] = None
-    grid: Tuple[float, float] = (40.0, 0.01)
-    tol: float = 1e-6
-    output_path: Optional[str] = None
-    format: Optional[str] = None
-    extras: dict = field(default_factory=dict)
-
-
 class _UsageError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1" and "-0.5" for values but "-1e-3" for a flag;
+        # accept the exponent too, so "--a -1e-3" parses like "--a=-1e-3"
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+
     # argparse would print its own message and exit; route through the
     # single-line JSON channel instead
     def error(self, message):
@@ -113,7 +107,8 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def _print_json(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, default=str) + "\n")
+    sys.stdout.write(json.dumps(obj, sort_keys=True, default=str,
+                                allow_nan=False) + "\n")
 
 
 def _params_dict(p: CknParams) -> dict:
@@ -121,11 +116,16 @@ def _params_dict(p: CknParams) -> dict:
             "lam": p.lam, "n_prime": p.n_prime, "tau": p.tau}
 
 
-def _require_point(cfg: RunConfig) -> CknParams:
-    if cfg.params is None:
-        raise _UsageError(f"{cfg.command} requires --N, --a and --b")
-    N, a, b = cfg.params
-    return make_params(N, a, b)
+def _require_point(args) -> CknParams:
+    if args.N is None:
+        raise _UsageError(f"{args.command} requires --N, --a and --b")
+    return make_params(args.N, args.a, args.b)
+
+
+def _grid_T(args) -> float:
+    # --T has no parser default, so that spectrum and energy can tell an
+    # explicit truncation from their automatic one
+    return 40.0 if args.T is None else args.T
 
 
 def _auto_T_energy(params: CknParams) -> float:
@@ -184,10 +184,10 @@ def _write_discrepancies(output_path: Optional[str]) -> None:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_classify(cfg: RunConfig) -> int:
-    if cfg.params is None:
+def _cmd_classify(args) -> int:
+    if args.N is None:
         raise _UsageError("classify requires --N, --a and --b")
-    N, a, b = cfg.params
+    N, a, b = args.N, args.a, args.b
     label = region_label(N, a, b)
     out = {"N": N, "a": a, "b": b, "region": label.variant.value}
     if label.variant is not Region.INVALID:
@@ -196,7 +196,7 @@ def _cmd_classify(cfg: RunConfig) -> int:
         try:
             out["b_fs"] = b_fs(N, a)
             out["del_direct_bound"] = del_direct_bound(N, a)
-            _write_discrepancies(cfg.output_path)
+            _write_discrepancies(args.out)
         except CknLabError:
             pass  # curves undefined (e.g. invalid N); the label stands
     if label.dual is not None:
@@ -205,10 +205,10 @@ def _cmd_classify(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_extremal(cfg: RunConfig) -> int:
-    params = _require_point(cfg)
+def _cmd_extremal(args) -> int:
+    params = _require_point(args)
     form = extremal_form(params)
-    T, dt = cfg.grid
+    T, dt = _grid_T(args), args.dt
     n = int(round(2.0 * T / dt)) + 1
     profile = sample_extremal(form, -T, dt, n)
     variant = sample_radial_form(params, (params.p - 1.0) * params.lam,
@@ -222,18 +222,18 @@ def _cmd_extremal(cfg: RunConfig) -> int:
         "residual_adopted": residual_autonomous(profile),
         "residual_printed_variant": residual_autonomous(variant),
     })
-    if cfg.output_path:
-        write_profile_csv(profile, cfg.output_path)
-        out["profile_csv"] = cfg.output_path
-    _write_discrepancies(cfg.output_path)
+    if args.out:
+        write_profile_csv(profile, args.out)
+        out["profile_csv"] = args.out
+    _write_discrepancies(args.out)
     _print_json(out)
     return 0
 
 
-def _cmd_shoot(cfg: RunConfig) -> int:
-    params = _require_point(cfg)
-    T, dt = cfg.grid
-    profile = shoot_homoclinic(params, t_max=T, tol=cfg.tol, dt=dt)
+def _cmd_shoot(args) -> int:
+    params = _require_point(args)
+    T = _grid_T(args)
+    profile = shoot_homoclinic(params, t_max=T, tol=args.tol, dt=args.dt)
     A = extremal_form(params).amplitude
     peak = float(profile.values.max())
     out = dict(_params_dict(params))
@@ -242,49 +242,44 @@ def _cmd_shoot(cfg: RunConfig) -> int:
         "closed_form_amplitude": A,
         "rel_err": abs(peak - A) / A,
         "t_max": T,
-        "tol": cfg.tol,
+        "tol": args.tol,
     })
-    if cfg.output_path:
-        write_profile_csv(profile, cfg.output_path)
-        out["profile_csv"] = cfg.output_path
+    if args.out:
+        write_profile_csv(profile, args.out)
+        out["profile_csv"] = args.out
     _print_json(out)
     return 0
 
 
-def _cmd_fs_curve(cfg: RunConfig) -> int:
-    if cfg.params is None:
+def _cmd_fs_curve(args) -> int:
+    if args.N is None:
         raise _UsageError("fs-curve requires --N")
-    N = cfg.params[0]
-    a_min = cfg.extras.get("a_min")
-    a_max = cfg.extras.get("a_max")
-    steps = cfg.extras["steps"]
+    N, a_min, a_max, steps = args.N, args.a_min, args.a_max, args.steps
     if a_min is None or a_max is None:
         raise _UsageError("fs-curve requires --a-min and --a-max")
     if steps < 1:
         raise _UsageError(f"--steps must be >= 1, got {steps}")
     if a_max < a_min:
         raise _UsageError("--a-max must be >= --a-min")
-    T, dx = cfg.grid
+    T, dx = _grid_T(args), args.dt
     a_values = _nodes(a_min, a_max, steps)
     _check_thread_env()
     lines = ["a,b_fs_closed,b_fs_numeric,abs_err"]
     for a in a_values:
         closed = b_fs(N, a)
-        numeric = find_fs_threshold(N, a, cfg.tol, T=T, dx=dx)
+        numeric = find_fs_threshold(N, a, args.tol, T=T, dx=dx)
         row = (a, closed, numeric, abs(numeric - closed))
         lines.append(",".join(_g(x) for x in row))
-    _emit("\n".join(lines) + "\n", cfg.output_path)
-    _write_discrepancies(cfg.output_path)
+    _emit("\n".join(lines) + "\n", args.out)
+    _write_discrepancies(args.out)
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    params = _require_point(cfg)
+def _cmd_spectrum(args) -> int:
+    params = _require_point(args)
     form = extremal_form(params)
-    T, dx = cfg.grid
-    if not cfg.extras.get("T_given"):
-        T = _auto_T_spectrum(params)
-    kmax = cfg.extras.get("kmax", 3)
+    T = _auto_T_spectrum(params) if args.T is None else args.T
+    dx, kmax = args.dt, args.kmax
     if kmax < 0:
         raise _UsageError(f"--kmax must be >= 0, got {kmax}")
     n = int(round(2.0 * T / dx)) + 1
@@ -295,41 +290,39 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
         evs = mode_eigenvalues(op, count=2)
         lines.append(",".join([str(k), _g(op.lambda_k),
                                _g(evs[0].mu), _g(evs[1].mu)]))
-    _emit("\n".join(lines) + "\n", cfg.output_path)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _cmd_dualize(cfg: RunConfig) -> int:
-    params = _require_point(cfg)
+def _cmd_dualize(args) -> int:
+    params = _require_point(args)
     dual = dualize_params(params)
     out = {"params": _params_dict(params), "dual": _params_dict(dual)}
-    in_path = cfg.extras.get("in_path")
-    if in_path:
-        if not cfg.output_path:
+    if args.in_path:
+        if not args.out:
             raise _UsageError("dualize with --in requires --out")
-        profile = read_profile_csv(in_path, params)
-        write_profile_csv(dualize_profile(profile), cfg.output_path)
-        out["profile_csv"] = cfg.output_path
+        profile = read_profile_csv(args.in_path, params)
+        write_profile_csv(dualize_profile(profile), args.out)
+        out["profile_csv"] = args.out
     _print_json(out)
     return 0
 
 
-def _cmd_energy(cfg: RunConfig) -> int:
-    params = _require_point(cfg)
+def _cmd_energy(args) -> int:
+    params = _require_point(args)
     form = extremal_form(params)
-    T, dt = cfg.grid
-    if not cfg.extras.get("T_given"):
-        T = _auto_T_energy(params)
+    T = _auto_T_energy(params) if args.T is None else args.T
+    dt = args.dt
     n = int(round(2.0 * T / dt)) + 1
     profile = sample_extremal(form, -T, dt, n)
     rep = energy_report(profile)
-    fmt = cfg.format or "csv"
+    fmt = args.format or "csv"
     if fmt == "csv":
         lines = ["N,a,b,grad_sq,lp,hardy_lhs,quotient",
                  ",".join([str(params.N), _g(params.a), _g(params.b),
                            _g(rep.grad_sq), _g(rep.lp), _g(rep.hardy_lhs),
                            _g(rep.quotient)])]
-        _emit("\n".join(lines) + "\n", cfg.output_path)
+        _emit("\n".join(lines) + "\n", args.out)
     elif fmt == "json":
         lhs, rhs = hardy_check(profile)
         lp1, lp2 = verify_dual_energy(profile)
@@ -343,7 +336,7 @@ def _cmd_energy(cfg: RunConfig) -> int:
             "dual_lp_pair": [lp1, lp2],
         })
         text = json.dumps(out, sort_keys=True) + "\n"
-        _emit(text, cfg.output_path)
+        _emit(text, args.out)
     else:
         raise _UsageError(f"energy supports csv or json, not {fmt}")
     return 0
@@ -464,15 +457,10 @@ def _svg_regionmap(N, a_nodes, b_nodes, labels) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_regionmap(cfg: RunConfig) -> int:
-    N = cfg.params[0] if cfg.params else 3
-    ex = cfg.extras
-    a_min = ex.get("a_min", -3.0)
-    a_max = ex.get("a_max", 1.4)
-    b_min = ex.get("b_min", -3.0)
-    b_max = ex.get("b_max", 2.5)
-    na = ex.get("na", 200)
-    nb = ex.get("nb", 200)
+def _cmd_regionmap(args) -> int:
+    N = 3 if args.N is None else args.N
+    a_min, a_max, b_min, b_max = args.a_min, args.a_max, args.b_min, args.b_max
+    na, nb = args.na, args.nb
     if na > MAX_MAP_NODES or nb > MAX_MAP_NODES:
         raise ResolutionTooLarge(
             f"region map limited to {MAX_MAP_NODES} nodes per axis",
@@ -488,23 +476,23 @@ def _cmd_regionmap(cfg: RunConfig) -> int:
     labels = [[region_label(N, a, b).variant.value for b in b_nodes]
               for a in a_nodes]
 
-    fmt = cfg.format or "csv"
+    fmt = args.format or "csv"
     if fmt == "csv":
         lines = ["a,b,label"]
         for i, a in enumerate(a_nodes):
             for j, b in enumerate(b_nodes):
                 lines.append(f"{_g(a)},{_g(b)},{labels[i][j]}")
-        _emit("\n".join(lines) + "\n", cfg.output_path)
+        _emit("\n".join(lines) + "\n", args.out)
     elif fmt == "svg":
-        _emit(_svg_regionmap(N, a_nodes, b_nodes, labels), cfg.output_path)
+        _emit(_svg_regionmap(N, a_nodes, b_nodes, labels), args.out)
     else:
         raise _UsageError(f"regionmap supports csv or svg, not {fmt}")
     return 0
 
 
-def _cmd_selftest(cfg: RunConfig) -> int:
+def _cmd_selftest(args) -> int:
     from . import acceptance
-    _write_discrepancies(cfg.output_path)
+    _write_discrepancies(args.out)
     ok = acceptance.run_all()
     return 0 if ok else 2
 
@@ -560,22 +548,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
+def _check_args(args) -> None:
     if args.command is None:
         raise _UsageError("a command is required: " +
                           ", ".join(sorted(_COMMANDS)))
-    point = None
-    if args.N is not None:
-        if args.command in ("regionmap", "fs-curve", "selftest"):
-            point = (args.N, 0.0, 0.0)
-        elif args.a is None or args.b is None:
-            raise _UsageError(f"{args.command} requires --a and --b with --N")
-        else:
-            point = (args.N, args.a, args.b)
-    T_given = args.T is not None
-    T = args.T if T_given else 40.0
-    if not (T > 0):
-        raise _UsageError(f"--T must be positive, got {T}")
+    if (args.N is not None
+            and args.command not in ("regionmap", "fs-curve", "selftest")
+            and (args.a is None or args.b is None)):
+        raise _UsageError(f"{args.command} requires --a and --b with --N")
+    if args.T is not None and not (args.T > 0):
+        raise _UsageError(f"--T must be positive, got {args.T}")
     if not (args.dt > 0):
         raise _UsageError(f"--dt must be positive, got {args.dt}")
     if not (args.tol > 0):
@@ -586,20 +568,14 @@ def _config_from_args(args) -> RunConfig:
         if value is not None and not math.isfinite(value):
             flag = "--" + key.replace("_", "-")
             raise _UsageError(f"{flag} must be finite, got {value}")
-    extras = {"T_given": T_given}
-    for key in ("a_min", "a_max", "b_min", "b_max", "na", "nb",
-                "steps", "kmax", "in_path"):
-        if hasattr(args, key):
-            extras[key] = getattr(args, key)
-    return RunConfig(command=args.command, params=point, grid=(T, args.dt),
-                     tol=args.tol, output_path=args.out, format=args.format,
-                     extras=extras)
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated config; returns the process exit code."""
+def main(argv=None) -> int:
+    """Run one command; returns the process exit code."""
     try:
-        return _COMMANDS[config.command](config)
+        args = _build_parser().parse_args(argv)
+        _check_args(args)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         sys.stderr.write(json.dumps(
             {"code": "usage_error", "message": str(exc)},
@@ -609,18 +585,6 @@ def run(config: RunConfig) -> int:
         sys.stderr.write(json.dumps(exc.payload(), sort_keys=True,
                                     default=str) + "\n")
         return 2
-
-
-def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-        config = _config_from_args(args)
-    except _UsageError as exc:
-        sys.stderr.write(json.dumps(
-            {"code": "usage_error", "message": str(exc)},
-            sort_keys=True) + "\n")
-        return 2
-    return run(config)
 
 
 if __name__ == "__main__":

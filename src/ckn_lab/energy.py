@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     CriticalA,
@@ -146,6 +145,10 @@ def _lp_r_space(profile: LogGridProfile) -> float:
     NotConverged when the weight r^{N-1-bp} overflows a float on the grid
     (large -bp, e.g. N = 2, a = -2.55, b = -2.35).
     """
+    # imported on first use: commands that never integrate in r start
+    # without scipy
+    from scipy.integrate import quad
+
     p = profile.params
     expo = p.N - 1.0 - p.b * p.p
 

@@ -7,6 +7,14 @@ inspecting exception types one by one.
 
 from __future__ import annotations
 
+__all__ = [
+    "CknLabError", "InvalidDimension", "InadmissibleB", "OutOfDomain",
+    "DegenerateParams", "NonpositiveScale", "OutOfGrid", "DualCheckFailed",
+    "InvalidStep", "BlowUp", "NoConvergence", "TooShort", "WrongRegime",
+    "UnverifiedProfile", "NotConverged", "NoSignChange", "TailNotDecayed",
+    "CriticalA", "WindowOutOfGrid", "NonpositiveValues", "ResolutionTooLarge",
+]
+
 
 class CknLabError(Exception):
     """Base class for all library errors."""

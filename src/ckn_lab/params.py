@@ -46,6 +46,10 @@ __all__ = [
     "dualize_params",
 ]
 
+# from 2^52 on, consecutive doubles are at least 1 apart, so the band
+# [a, a+1] holds no interior point and a + 1 may round to a
+_AB_LIMIT = 2.0 ** 52
+
 
 @dataclass(frozen=True)
 class CknParams:
@@ -109,13 +113,18 @@ def make_params(N: int, a: float, b: float) -> CknParams:
 
     Raises InvalidDimension for N < 2 and InadmissibleB when b falls
     outside [a, a+1] (N >= 3) or (a, a+1] (N = 2); the endpoint openness
-    at b = a for N = 2 is exact.
+    at b = a for N = 2 is exact.  InadmissibleB also covers the points the
+    floats cannot carry: |a| or |b| >= 2^52, and b - a so small that p
+    overflows.
     """
     N = _check_dimension(N)
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InadmissibleB("a and b must be finite", a=a, b=b)
+    if abs(a) >= _AB_LIMIT or abs(b) >= _AB_LIMIT:
+        raise InadmissibleB("|a| and |b| must be below 2^52",
+                            a=a, b=b, limit=_AB_LIMIT)
     s = b - a
     if N >= 3:
         if not (0.0 <= s <= 1.0):
@@ -129,10 +138,25 @@ def make_params(N: int, a: float, b: float) -> CknParams:
             )
     a_c = (N - 2) / 2.0
     p = 2.0 * N / (N - 2 + 2.0 * s)
+    if math.isinf(p):
+        # N = 2 with b - a below about 1e-308
+        raise InadmissibleB(f"b - a = {s} is too small: p overflows",
+                            N=N, a=a, b=b)
     lam = a_c - a
     n_prime = N - 2.0 * a
     tau = -b * p + 2.0 * a
     return CknParams(N=N, a=a, b=b, p=p, a_c=a_c, lam=lam, n_prime=n_prime, tau=tau)
+
+
+def _curve_domain(N, a, what: str):
+    N = _check_dimension(N)
+    a = float(a)
+    if a >= 0:
+        raise OutOfDomain(f"{what} is defined for a < 0, got a = {a}", a=a)
+    if a <= -_AB_LIMIT:
+        raise OutOfDomain(f"{what} is defined for |a| < 2^52, got a = {a}",
+                          a=a, limit=_AB_LIMIT)
+    return N, a
 
 
 def b_fs(N: int, a: float) -> float:
@@ -145,10 +169,7 @@ def b_fs(N: int, a: float) -> float:
     bifurcation search in module ``spectrum`` is the arbiter and confirms
     this convention.
     """
-    N = _check_dimension(N)
-    a = float(a)
-    if a >= 0:
-        raise OutOfDomain(f"threshold curve is defined for a < 0, got a = {a}", a=a)
+    N, a = _curve_domain(N, a, "threshold curve")
     a_c = (N - 2) / 2.0
     d = a_c - a
     return N * d / (2.0 * math.sqrt(d * d + N - 1)) + a - a_c
@@ -160,10 +181,7 @@ def b_fs_printed(N: int, a: float) -> float:
     Kept computable so diagnostics can report both conventions; for a < 0
     this value is below a and therefore inadmissible as a threshold.
     """
-    N = _check_dimension(N)
-    a = float(a)
-    if a >= 0:
-        raise OutOfDomain(f"threshold curve is defined for a < 0, got a = {a}", a=a)
+    N, a = _curve_domain(N, a, "threshold curve")
     a_c = (N - 2) / 2.0
     d = a - a_c
     return N * d / (2.0 * math.sqrt(d * d + N - 1)) + a - a_c
@@ -176,10 +194,7 @@ def del_direct_bound(N: int, a: float) -> float:
     a weaker condition than the threshold curve (it lies above b_fs), used
     only to annotate region maps.
     """
-    N = _check_dimension(N)
-    a = float(a)
-    if a >= 0:
-        raise OutOfDomain(f"direct bound is defined for a < 0, got a = {a}", a=a)
+    N, a = _curve_domain(N, a, "direct bound")
     a_c = (N - 2) / 2.0
     d2 = (a - a_c) ** 2
     return (N * (N - 1) + 4.0 * N * d2) / (6.0 * (N - 1) + 8.0 * d2) + a - a_c

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     InvalidStep,
@@ -121,6 +120,9 @@ def build_mode_operator(extremal: LogGridProfile, k: int) -> ModeOperator:
 
 
 def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenReport]:
+    # imported on first use: commands that never solve start without scipy
+    from scipy.linalg import eigh_tridiagonal
+
     t0, dt, n = op.grid
     V = op.potential
     dev = max(abs(float(V[0]) - op.asymptote), abs(float(V[-1]) - op.asymptote))

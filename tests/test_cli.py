@@ -225,11 +225,64 @@ def test_regionmap_resolution_guard(capsys):
     assert err["code"] == "resolution_too_large"
 
 
-def test_missing_command_and_missing_flags_are_usage_errors(capsys):
-    assert _run_error(capsys, [])["code"] == "usage_error"
-    assert _run_error(capsys, ["energy"])["code"] == "usage_error"
-    assert _run_error(capsys, ["shoot", "--N", "3", "--a", "0"])["code"] == \
-        "usage_error"
+_USAGE_LINES = [
+    ([], "a command is required: classify, dualize, energy, extremal, "
+         "fs-curve, regionmap, selftest, shoot, spectrum"),
+    (["classify"], "classify requires --N, --a and --b"),
+    (["classify", "--N", "3"], "classify requires --a and --b with --N"),
+    (["energy"], "energy requires --N, --a and --b"),
+    (["shoot"], "shoot requires --N, --a and --b"),
+    (["shoot", "--N", "3", "--a", "0"],
+     "shoot requires --a and --b with --N"),
+    (["fs-curve"], "fs-curve requires --N"),
+    (["fs-curve", "--N", "3", "--a-min", "-1"],
+     "fs-curve requires --a-min and --a-max"),
+    (["fs-curve", "--N", "3", "--a-min", "-1", "--a-max", "-2"],
+     "--a-max must be >= --a-min"),
+    (["fs-curve", "--N", "3", "--a-min", "-1", "--a-max", "-0.5",
+      "--steps", "0"], "--steps must be >= 1, got 0"),
+    (["classify", "--N", "3", "--a", "0", "--b", "0", "--T", "0"],
+     "--T must be positive, got 0.0"),
+    (["classify", "--N", "3", "--a", "0", "--b", "0", "--dt", "0"],
+     "--dt must be positive, got 0.0"),
+    (["classify", "--N", "3", "--a", "0", "--b", "0", "--tol", "-1"],
+     "--tol must be positive, got -1.0"),
+    (["spectrum", "--N", "3", "--a", "-1", "--b", "-0.5", "--kmax", "-1"],
+     "--kmax must be >= 0, got -1"),
+    (["dualize", "--N", "3", "--a", "0", "--b", "0", "--in", "p.csv"],
+     "dualize with --in requires --out"),
+    (["energy", "--N", "3", "--a", "0", "--b", "0", "--format", "svg"],
+     "energy supports csv or json, not svg"),
+    (["regionmap", "--format", "json"],
+     "regionmap supports csv or svg, not json"),
+    (["regionmap", "--na", "0"], "--na and --nb must be >= 1"),
+    # a negative float after a space, exponent included, reads as with "="
+    (["classify", "--N", "3", "--a", "-1e-3"],
+     "classify requires --a and --b with --N"),
+    (["classify", "--N", "3", "--b", "-1E-3"],
+     "classify requires --a and --b with --N"),
+    (["fs-curve", "--N", "3", "--a-min", "-1e0", "--a-max", "-2e0"],
+     "--a-max must be >= --a-min"),
+    (["regionmap", "--b-min", "-1e-1", "--b-max", "-2e-1"],
+     "window must satisfy a_min <= a_max, b_min <= b_max"),
+    (["shoot", "--N", "3", "--a", "0", "--b", "0", "--T", "-1e-3"],
+     "--T must be positive, got -0.001"),
+    (["shoot", "--N", "3", "--a", "0", "--b", "0", "--dt", "-.5e-2"],
+     "--dt must be positive, got -0.005"),
+    (["shoot", "--N", "3", "--a", "0", "--b", "0", "--tol", "-1e+1"],
+     "--tol must be positive, got -10.0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _USAGE_LINES,
+                         ids=[" ".join(argv) or "no command"
+                              for argv, _ in _USAGE_LINES])
+def test_usage_errors_print_one_pinned_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps(
+        {"code": "usage_error", "message": message}, sort_keys=True) + "\n"
 
 
 def test_library_errors_surface_as_json_exit_2(capsys):
@@ -258,6 +311,43 @@ def test_non_finite_float_flags_are_usage_errors(capsys, argv):
     err = _run_error(capsys, argv)
     assert err["code"] == "usage_error"
     assert "must be finite" in err["message"]
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+_HUGE_PARAMETERS = [
+    # a - a_c squared overflows in the direct bound
+    (["classify", "--N", "3", "--a=-5e307", "--b=-5e307"], 0, "Invalid"),
+    # a + 1 == a: the direct bound was NaN and the point read HardyEndpoint
+    (["classify", "--N", "3", "--a=-1e154", "--b=-1e154"], 0, "Invalid"),
+    (["classify", "--N", "3", "--a=1e308", "--b=1e308"], 0, "Invalid"),
+    (["dualize", "--N", "3", "--a=-1e308", "--b=-1e308"], 2,
+     "inadmissible_b"),
+    # N = 2 with b - a so small that p = 2/(b - a) overflows
+    (["classify", "--N", "2", "--a", "0", "--b", "5e-324"], 0, "Invalid"),
+    (["dualize", "--N", "2", "--a", "0", "--b", "5e-324"], 2,
+     "inadmissible_b"),
+]
+
+
+@pytest.mark.parametrize("argv, code, label", _HUGE_PARAMETERS,
+                         ids=[" ".join(case[0]) for case in _HUGE_PARAMETERS])
+def test_huge_parameters_give_standard_json_or_typed_error(capsys, tmp_path,
+                                                          monkeypatch, argv,
+                                                          code, label):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+        assert _strict_json(captured.out)["region"] == label
+    else:
+        assert captured.out == ""
+        assert _strict_json(captured.err)["code"] == label
 
 
 def test_energy_overflow_is_a_typed_error(capsys):
@@ -291,3 +381,32 @@ def test_selftest_subprocess_passes_all_criteria(tmp_path):
     assert len(lines) == 10
     assert "FAIL" not in out
     assert (tmp_path / "discrepancies.json").exists()
+
+
+def test_light_commands_run_without_scipy(tmp_path):
+    # only the eigensolve and the r-space quadrature need scipy; the
+    # package must not import it for commands that call neither
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ckn_lab.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    pythonpath = src + (os.pathsep + inherited if inherited else "")
+    child = "\n".join([
+        "import contextlib, io, sys",
+        "import ckn_lab, ckn_lab.cli as cli",
+        "for argv in (",
+        "    ['classify', '--N', '3', '--a', '-1', '--b', '-0.8'],",
+        "    ['regionmap', '--na', '8', '--nb', '8', '--format', 'svg'],",
+        "    ['extremal', '--N', '3', '--a', '-1', '--b', '-0.2'],",
+        "    ['shoot', '--N', '3', '--a', '-4.3', '--b', '-4', '--T', '10'],",
+        "):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert cli.main(argv) == 0, argv",
+        "assert 'scipy' not in sys.modules, 'scipy imported'",
+        "names = ckn_lab.__all__",
+        "assert len(names) == len(set(names)), 'duplicate names'",
+        "missing = [n for n in names if not hasattr(ckn_lab, n)]",
+        "assert not missing, missing",
+    ])
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr.decode()[-800:]

@@ -41,6 +41,14 @@ def test_make_params_rejections():
         P.make_params(3, 0, -0.1)
     with pytest.raises(InadmissibleB):
         P.make_params(3, 0, float("nan"))
+    # past 2^52 the band [a, a+1] holds no interior double
+    with pytest.raises(InadmissibleB):
+        P.make_params(3, -2.0 ** 52, -2.0 ** 52)
+    with pytest.raises(InadmissibleB):
+        P.make_params(3, 2.0 ** 52 - 0.5, 2.0 ** 52)
+    # p = 2/(b - a) overflows for N = 2
+    with pytest.raises(InadmissibleB):
+        P.make_params(2, 0.0, 5e-324)
 
 
 def test_p_endpoint_identities():
@@ -97,6 +105,8 @@ def test_b_fs_domain_and_containment():
         P.b_fs(3, 0)
     with pytest.raises(OutOfDomain):
         P.b_fs(3, 0.2)
+    with pytest.raises(OutOfDomain):
+        P.b_fs(3, -2.0 ** 52)
     for N in range(2, 11):
         for a in np.linspace(-10, -1e-3, 97):
             v = P.b_fs(N, float(a))
@@ -121,6 +131,8 @@ def test_del_direct_bound():
     assert P.del_direct_bound(3, -1) == pytest.approx(-0.4, abs=1e-15)
     with pytest.raises(OutOfDomain):
         P.del_direct_bound(3, 0)
+    with pytest.raises(OutOfDomain):
+        P.del_direct_bound(3, -5e307)
     # weaker sufficient condition: lies above the threshold curve
     for N in (2, 3, 4, 7):
         for a in np.linspace(-8, -1e-2, 41):
@@ -147,6 +159,9 @@ def test_region_label_total():
     assert P.region_label(3, -1, -1.5).variant is P.Region.INVALID
     assert P.region_label(2, 3.5, 3.5).variant is P.Region.INVALID
     assert P.region_label(1, 0, 0.5).variant is P.Region.INVALID
+    assert P.region_label(3, -1e154, -1e154).variant is P.Region.INVALID
+    edge = 1.0 - 2.0 ** 52
+    assert P.region_label(3, edge, edge).variant is P.Region.BOUNDARY_BA
     assert P.region_label(3, -1, -0.8).variant is P.Region.SYMMETRY_BREAKING
 
 
