@@ -37,16 +37,14 @@ from .radial import (
     shoot_homoclinic,
 )
 from .profiles import LogGridProfile
-from .energy import decay_fit
+from .energy import decay_fit, tail_window
 from .spectrum import build_mode_operator, find_fs_threshold, mode_eigenvalues
 
 
-def _decayed_extremal(params, dt=0.01, min_T=40.0):
+def _decayed_extremal(params, min_T):
     form = extremal_form(params)
-    log_tail_amp = math.log(form.amplitude) + form.sech_power * math.log(2.0)
-    T = max(min_T, math.ceil((log_tail_amp + 28.5) / abs(params.lam)))
-    n = int(round(2 * T / dt)) + 1
-    return sample_extremal(form, -T, dt, n)
+    T = tail_window(form, min_T)
+    return sample_extremal(form, -T, 0.01, int(round(2 * T / 0.01)) + 1)
 
 
 def criterion_1():

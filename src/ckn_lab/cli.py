@@ -43,8 +43,9 @@ from .profiles import (
     write_profile_csv,
 )
 from .radial import residual_autonomous, shoot_homoclinic
-from .spectrum import build_mode_operator, find_fs_threshold, mode_eigenvalues
-from .energy import energy_report, hardy_check, verify_dual_energy
+from .spectrum import (asymptote_window, build_mode_operator,
+                       find_fs_threshold, mode_eigenvalues)
+from .energy import energy_report, hardy_check, tail_window, verify_dual_energy
 
 __all__ = ["main"]
 
@@ -126,22 +127,6 @@ def _grid_T(args) -> float:
     # --T has no parser default, so that spectrum and energy can tell an
     # explicit truncation from their automatic one
     return 40.0 if args.T is None else args.T
-
-
-def _auto_T_energy(params: CknParams) -> float:
-    # end the grid where the tails sink below the 1e-12 gate of the
-    # energy integrals: w(T) ~ A 2^beta e^{-|lam| T}
-    form = extremal_form(params)
-    log_tail = math.log(form.amplitude) + form.sech_power * math.log(2.0)
-    return max(40.0, math.ceil((log_tail + 28.5) / abs(params.lam)))
-
-
-def _auto_T_spectrum(params: CknParams) -> float:
-    # end the grid where the potential reaches its asymptote to 1e-10:
-    # the well term is (p-1) w^{p-2} with (A 2^beta)^{p-2} = 2 p lam^2
-    p, lam = params.p, abs(params.lam)
-    log_dev = math.log(p - 1.0) + math.log(2.0 * p * lam * lam)
-    return max(40.0, math.ceil((log_dev + 24.5) / (lam * (p - 2.0))))
 
 
 def _write_discrepancies(output_path: Optional[str]) -> None:
@@ -278,7 +263,7 @@ def _cmd_fs_curve(args) -> int:
 def _cmd_spectrum(args) -> int:
     params = _require_point(args)
     form = extremal_form(params)
-    T = _auto_T_spectrum(params) if args.T is None else args.T
+    T = asymptote_window(params) if args.T is None else args.T
     dx, kmax = args.dt, args.kmax
     if kmax < 0:
         raise _UsageError(f"--kmax must be >= 0, got {kmax}")
@@ -301,7 +286,11 @@ def _cmd_dualize(args) -> int:
     if args.in_path:
         if not args.out:
             raise _UsageError("dualize with --in requires --out")
-        profile = read_profile_csv(args.in_path, params)
+        try:
+            profile = read_profile_csv(args.in_path, params)
+        except OSError as exc:
+            raise _UsageError(
+                f"cannot read --in {args.in_path}: {exc.strerror}") from exc
         write_profile_csv(dualize_profile(profile), args.out)
         out["profile_csv"] = args.out
     _print_json(out)
@@ -311,7 +300,7 @@ def _cmd_dualize(args) -> int:
 def _cmd_energy(args) -> int:
     params = _require_point(args)
     form = extremal_form(params)
-    T = _auto_T_energy(params) if args.T is None else args.T
+    T = tail_window(form) if args.T is None else args.T
     dt = args.dt
     n = int(round(2.0 * T / dt)) + 1
     profile = sample_extremal(form, -T, dt, n)
@@ -343,6 +332,8 @@ def _cmd_energy(args) -> int:
 
 
 def _nodes(lo: float, hi: float, n: int):
+    if not math.isfinite(hi - lo):
+        raise _UsageError(f"window [{lo}, {hi}] is wider than the float range")
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)

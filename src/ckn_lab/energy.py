@@ -38,6 +38,7 @@ from .errors import (
     WindowOutOfGrid,
 )
 from .profiles import (
+    ExtremalForm,
     LogGridProfile,
     dualize_profile,
     extremal_dt_value,
@@ -54,6 +55,7 @@ __all__ = [
     "verify_dual_energy",
     "hardy_check",
     "decay_fit",
+    "tail_window",
 ]
 
 TAIL_GATE = 1e-12
@@ -94,6 +96,13 @@ class EnergyReport:
     omega_n: float
 
 
+def tail_window(form: ExtremalForm, min_T: float = 40.0) -> float:
+    """Half-width T of [-T, T] where w*(T) ~ A 2^beta e^{-|lam| T} is below
+    TAIL_GATE: 28.5 is -ln(TAIL_GATE) = 27.6 plus a margin."""
+    log_tail = math.log(form.amplitude) + form.sech_power * math.log(2.0)
+    return max(min_T, math.ceil((log_tail + 28.5) / abs(form.params.lam)))
+
+
 def _check_tails(profile: LogGridProfile) -> None:
     w0, w1 = float(profile.values[0]), float(profile.values[-1])
     if abs(w0) > TAIL_GATE or abs(w1) > TAIL_GATE:
@@ -113,9 +122,15 @@ def _w_integrals(profile: LogGridProfile):
         w_t = extremal_dt_value(profile.form, profile.t())
     else:
         w_t = first_derivative_4(w, profile.dt)
-    grad = composite_simpson((w_t - lam * w) ** 2, profile.dt)
-    lp = composite_simpson(np.abs(w) ** p, profile.dt)
-    hardy = composite_simpson(w * w, profile.dt)
+    # near p = 2 the amplitude is finite but its square or p-th power is not
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = composite_simpson((w_t - lam * w) ** 2, profile.dt)
+        lp = composite_simpson(np.abs(w) ** p, profile.dt)
+        hardy = composite_simpson(w * w, profile.dt)
+    if not all(math.isfinite(x) for x in (grad, lp, hardy)):
+        params = profile.params
+        raise NotConverged("weighted integrals overflowed the float range",
+                           N=params.N, a=params.a, b=params.b)
     return grad, lp, hardy
 
 

@@ -37,6 +37,7 @@ from .errors import (
     InvalidStep,
     NonpositiveScale,
     OutOfGrid,
+    ResolutionTooLarge,
 )
 from .params import CknParams, dualize_params
 
@@ -58,6 +59,10 @@ __all__ = [
 ]
 
 MIN_PROFILE_LEN = 16
+# every T/dt grid (sampled profiles, RK4 trajectories) stays below 2^22
+# nodes, 32 MiB per float64 array: about 30x the largest grid that the
+# tests and the benchmark workloads build (140,001 trajectory nodes)
+MAX_GRID_NODES = 2 ** 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,13 +195,27 @@ def extremal_radial_value(form: ExtremalForm, r) -> np.ndarray:
     return np.exp(-form.params.lam * t) * extremal_value(form, t)
 
 
-def sample_extremal(form: ExtremalForm, t0: float, dt: float, n: int) -> LogGridProfile:
-    """Pointwise evaluation of w* on a uniform grid; exact, no quadrature."""
+def check_grid_nodes(n: int) -> None:
+    """Raise ResolutionTooLarge when a T/dt grid would hold more than
+    MAX_GRID_NODES nodes."""
+    if n > MAX_GRID_NODES:
+        raise ResolutionTooLarge(
+            f"grid limited to {MAX_GRID_NODES} nodes, got {n}",
+            n=n, limit=MAX_GRID_NODES)
+
+
+def _sample_grid(t0: float, dt: float, n: int) -> np.ndarray:
     if n < MIN_PROFILE_LEN:
         raise InvalidStep(f"need n >= {MIN_PROFILE_LEN}, got {n}", n=n)
     if not (dt > 0):
         raise InvalidStep(f"dt must be positive, got {dt}", dt=dt)
-    t = t0 + dt * np.arange(n)
+    check_grid_nodes(n)
+    return t0 + dt * np.arange(n)
+
+
+def sample_extremal(form: ExtremalForm, t0: float, dt: float, n: int) -> LogGridProfile:
+    """Pointwise evaluation of w* on a uniform grid; exact, no quadrature."""
+    t = _sample_grid(t0, dt, n)
     return LogGridProfile(t0=t0, dt=dt, values=extremal_value(form, t),
                           params=form.params, form=form, is_solution=True)
 
@@ -211,13 +230,9 @@ def sample_radial_form(params: CknParams, inner_exponent: float,
     residual evaluation falls back to finite differences.
     """
     q = extremal_form(params)  # validates the regime, supplies A and beta
-    if n < MIN_PROFILE_LEN:
-        raise InvalidStep(f"need n >= {MIN_PROFILE_LEN}, got {n}", n=n)
-    if not (dt > 0):
-        raise InvalidStep(f"dt must be positive, got {dt}", dt=dt)
+    t = _sample_grid(t0, dt, n)
     beta = q.sech_power
     log_c = math.log(q.amplitude) + beta * math.log(2.0)
-    t = t0 + dt * np.arange(n)
     x = inner_exponent * t
     softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     # ln w = lam t + ln C - beta ln(1 + e^{x})
@@ -314,13 +329,24 @@ def write_profile_csv(profile: LogGridProfile, path) -> None:
 
 
 def read_profile_csv(path, params: CknParams, *, is_solution: bool = False) -> LogGridProfile:
-    """Read a `t,w` table back into a profile attached to ``params``."""
+    """Read a `t,w` table back into a profile attached to ``params``.
+
+    A file that cannot be opened raises OSError; a file that is not text,
+    has no `t,w` header, holds a row that is not two numbers or has a
+    non-uniform grid raises InvalidStep.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise InvalidStep("profile CSV is not text") from exc
     if not rows or [c.strip() for c in rows[0]] != ["t", "w"]:
         raise InvalidStep("profile CSV must start with header 't,w'")
-    t = np.array([float(r[0]) for r in rows[1:]])
-    w = np.array([float(r[1]) for r in rows[1:]])
+    try:
+        t = np.array([float(r[0]) for r in rows[1:]])
+        w = np.array([float(r[1]) for r in rows[1:]])
+    except (IndexError, ValueError) as exc:
+        raise InvalidStep("profile CSV rows must hold two numbers 't,w'") from exc
     if t.size < 2 or np.any(np.diff(t) <= 0):
         raise InvalidStep("profile CSV rows must be strictly increasing in t")
     dt = float(t[1] - t[0])

@@ -57,6 +57,7 @@ from .errors import (
 from .params import CknParams
 from .profiles import (
     LogGridProfile,
+    check_grid_nodes,
     extremal_value,
     extremal_wtt_value,
 )
@@ -170,7 +171,10 @@ def integrate(params: CknParams, w0: float, w0_t: float,
     n_steps = int(round(abs(tb - ta) / dt))
     if n_steps < 1:
         raise InvalidStep("t_span shorter than one step", t_span=(ta, tb), dt=dt)
+    check_grid_nodes(n_steps + 1)
     h = (tb - ta) / n_steps
+    if n_steps * dt == abs(tb - ta):  # a whole number of steps: keep dt
+        h = math.copysign(dt, h)
     out_w = np.empty(n_steps + 1)
     out_v = np.empty(n_steps + 1)
     lam2 = params.lam * params.lam
@@ -227,6 +231,7 @@ def shoot_homoclinic(params: CknParams, t_max: float, tol: float,
     sub = max(2, int(round(dt / _SHOOT_SUBSTEP)))
     h = dt / sub
     n_fine = n_profile * sub
+    check_grid_nodes(n_fine + 1)
 
     lo, hi = w_eq, 2.0 * w_eq
     ev_lo, _ = _rk4_classify(lo, 0.0, h, n_fine, lam2, pm1)
@@ -255,13 +260,8 @@ def shoot_homoclinic(params: CknParams, t_max: float, tol: float,
         raise NoConvergence("bisection iteration cap reached", lo=lo, hi=hi)
 
     # final run on the undershoot side stays positive until the patch region
-    out_w = np.empty(n_fine + 1)
-    out_v = np.empty(n_fine + 1)
-    done = _rk4_store(lo, 0.0, h, n_fine, lam2, pm1, out_w, out_v)
-    if done < n_fine:  # cannot happen on the undershoot side; be defensive
-        raise NoConvergence("undershoot trajectory left the bounded region",
-                            m=lo, exit_time=done * h)
-    w_half = out_w[::sub].copy()
+    run = integrate(params, lo, 0.0, (0.0, n_fine * h), h)
+    w_half = run.profile.values[::sub].copy()
     n_half = w_half.size  # == n_profile + 1
     t_half = dt * np.arange(n_half)
 

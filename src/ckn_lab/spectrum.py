@@ -55,6 +55,7 @@ __all__ = [
     "mode_eigenvalues",
     "fs_mode_eigenvalue",
     "find_fs_threshold",
+    "asymptote_window",
 ]
 
 RESIDUAL_GATE = 1e-8
@@ -117,6 +118,14 @@ def build_mode_operator(extremal: LogGridProfile, k: int) -> ModeOperator:
     V = p.lam ** 2 + lambda_k - (p.p - 1.0) * np.abs(w) ** (p.p - 2.0)
     return ModeOperator(k=int(k), lambda_k=lambda_k, potential=V,
                         grid=(extremal.t0, extremal.dt, extremal.n), params=p)
+
+
+def asymptote_window(params: CknParams) -> float:
+    """Half-width T of [-T, T] where the well (p-1) w*^{p-2} ~ 2p(p-1) lam^2
+    e^{-lam (p-2) T} is below 1e-10: 24.5 is -ln(1e-10) = 23.0 plus a margin."""
+    p, lam = params.p, abs(params.lam)
+    log_dev = math.log(p - 1.0) + math.log(2.0 * p * lam * lam)
+    return max(40.0, math.ceil((log_dev + 24.5) / (lam * (p - 2.0))))
 
 
 def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenReport]:

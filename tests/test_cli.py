@@ -1,11 +1,12 @@
 """Command-line contract tests.
 
 main(argv) is called in-process so stdout/stderr can be captured and
-parsed; the selftest path goes through a real subprocess, which covers
+parsed; one classify query goes through a real subprocess, which covers
 the ``python -m ckn_lab.cli`` entry point and the ``discrepancies.json``
-written to the current directory.  Every stdout artifact is
-either one JSON object or a CSV table; every failure is exit code 2
-with a single JSON error line on stderr.
+written to the current directory.  The selftest command runs on stub
+criteria here, because tests/test_acceptance.py runs each real criterion
+once.  Every stdout artifact is either one JSON object or a CSV table;
+every failure is exit code 2 with a single JSON error line on stderr.
 """
 
 import json
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import ckn_lab
+from ckn_lab import acceptance
 from ckn_lab import b_fs, extremal_form, make_params, read_profile_csv
 from ckn_lab.cli import main
 
@@ -256,6 +258,11 @@ _USAGE_LINES = [
     (["regionmap", "--format", "json"],
      "regionmap supports csv or svg, not json"),
     (["regionmap", "--na", "0"], "--na and --nb must be >= 1"),
+    (["regionmap", "--a-min=-1e308", "--a-max=1e308", "--na", "3",
+      "--nb", "2"], "window [-1e+308, 1e+308] is wider than the float range"),
+    (["dualize", "--N", "3", "--a", "0", "--b", "0",
+      "--in", "no-such-dir/p.csv", "--out", "d.csv"],
+     "cannot read --in no-such-dir/p.csv: No such file or directory"),
     # a negative float after a space, exponent included, reads as with "="
     (["classify", "--N", "3", "--a", "-1e-3"],
      "classify requires --a and --b with --N"),
@@ -283,6 +290,21 @@ def test_usage_errors_print_one_pinned_line(capsys, argv, message):
     assert captured.out == ""
     assert captured.err == json.dumps(
         {"code": "usage_error", "message": message}, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"t,w\n0,1\n1,x\n", "profile CSV rows must hold two numbers 't,w'"),
+    (b"t,w\n0,1\n1\n", "profile CSV rows must hold two numbers 't,w'"),
+    (b"\xfe\xff\x00t", "profile CSV is not text"),
+], ids=["non-numeric", "one-column", "not-text"])
+def test_dualize_malformed_profile_is_invalid_step(capsys, tmp_path,
+                                                   content, message):
+    src, out = tmp_path / "bad.csv", tmp_path / "dual.csv"
+    src.write_bytes(content)
+    err = _run_error(capsys, ["dualize", "--N", "3", "--a", "0", "--b", "0",
+                              "--in", str(src), "--out", str(out)])
+    assert (err["code"], err["message"]) == ("invalid_step", message)
+    assert not out.exists()
 
 
 def test_library_errors_surface_as_json_exit_2(capsys):
@@ -331,9 +353,23 @@ _HUGE_PARAMETERS = [
     (["classify", "--N", "2", "--a", "0", "--b", "5e-324"], 0, "Invalid"),
     (["dualize", "--N", "2", "--a", "0", "--b", "5e-324"], 2,
      "inadmissible_b"),
+    # grids past the node budget fail before they allocate
+    (["shoot", "--N", "3", "--a", "0", "--b", "0", "--T", "1",
+      "--dt", "1e-9"], 2, "resolution_too_large"),
+    (["extremal", "--N", "3", "--a", "0", "--b", "0", "--T", "1e9"], 2,
+     "resolution_too_large"),
+    (["energy", "--N", "3", "--a", "0", "--b", "0", "--T", "1e8"], 2,
+     "resolution_too_large"),
+    (["spectrum", "--N", "3", "--a", "-1", "--b", "-0.5", "--T", "1e9"], 2,
+     "resolution_too_large"),
+    (["fs-curve", "--N", "3", "--a-min=-1", "--a-max=-1", "--steps", "1",
+      "--T", "1e9"], 2, "resolution_too_large"),
+    # near p = 2 the amplitude is finite but w^2 and w^p overflow
+    (["energy", "--N", "3", "--a=-2", "--b=-1.003"], 2, "not_converged"),
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, code, label", _HUGE_PARAMETERS,
                          ids=[" ".join(case[0]) for case in _HUGE_PARAMETERS])
 def test_huge_parameters_give_standard_json_or_typed_error(capsys, tmp_path,
@@ -365,30 +401,49 @@ def test_bad_thread_env_is_a_usage_error(capsys, monkeypatch):
     assert err["code"] == "usage_error"
 
 
-def test_selftest_subprocess_passes_all_criteria(tmp_path):
-    # the child runs in tmp_path, where a relative PYTHONPATH entry no
-    # longer resolves: put the directory holding this ckn_lab in front
+def _child_env():
+    # a child run in tmp_path no longer resolves a relative PYTHONPATH
+    # entry: put the directory holding this ckn_lab in front
     src = os.path.dirname(os.path.dirname(os.path.abspath(ckn_lab.__file__)))
     inherited = os.environ.get("PYTHONPATH")
-    pythonpath = src + (os.pathsep + inherited if inherited else "")
-    proc = subprocess.run([sys.executable, "-m", "ckn_lab.cli", "selftest"],
-                          capture_output=True, cwd=tmp_path,
-                          env=dict(os.environ, CKN_LAB_THREADS="2",
-                                   PYTHONPATH=pythonpath))
-    out = proc.stdout.decode()
-    assert proc.returncode == 0, proc.stderr.decode()[:500] + out[-500:]
-    lines = [line for line in out.splitlines() if line.startswith("PASS")]
-    assert len(lines) == 10
-    assert "FAIL" not in out
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + inherited if inherited else ""))
+
+
+def test_module_entry_point_writes_discrepancies_to_cwd(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "ckn_lab.cli", "classify",
+                           "--N", "3", "--a", "-1", "--b", "-0.8"],
+                          capture_output=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode()[-500:]
+    assert json.loads(proc.stdout)["region"] == "SymmetryBreaking"
+    assert (tmp_path / "discrepancies.json").exists()
+
+
+@pytest.mark.parametrize("results, budget, code", [
+    ((True, True, True), 60.0, 0),
+    ((True, False, True), 60.0, 2),
+    ((True,), 0.0, 2),
+], ids=["all-pass", "one-fails", "zero-budget"])
+def test_selftest_prints_one_verdict_per_criterion(capsys, tmp_path,
+                                                   monkeypatch, results,
+                                                   budget, code):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        (k, f"stub {k}", lambda ok=ok: (ok, "measured"), budget)
+        for k, ok in enumerate(results, 1)])
+    assert main(["selftest"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(results)
+    for k, (line, ok) in enumerate(zip(lines, results), 1):
+        verdict = "PASS" if ok and budget > 0 else "FAIL"
+        assert line.startswith(f"{verdict} criterion {k}: stub {k}: measured")
+        assert ("OVER BUDGET" in line) == (budget == 0.0)
     assert (tmp_path / "discrepancies.json").exists()
 
 
 def test_light_commands_run_without_scipy(tmp_path):
     # only the eigensolve and the r-space quadrature need scipy; the
     # package must not import it for commands that call neither
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ckn_lab.__file__)))
-    inherited = os.environ.get("PYTHONPATH")
-    pythonpath = src + (os.pathsep + inherited if inherited else "")
     child = "\n".join([
         "import contextlib, io, sys",
         "import ckn_lab, ckn_lab.cli as cli",
@@ -407,6 +462,5 @@ def test_light_commands_run_without_scipy(tmp_path):
         "assert not missing, missing",
     ])
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                          cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=pythonpath))
+                          cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr.decode()[-800:]

@@ -33,18 +33,17 @@ from ckn_lab import (
     scale_profile,
     shoot_homoclinic,
     surface_measure,
+    tail_window,
     verify_dual_energy,
 )
 
 
-def decayed_extremal(N, a, b, dt=0.01, min_T=40.0):
+def decayed_extremal(N, a, b, min_T=40.0):
     """Sampled extremal on a window whose tails are below the 1e-12 gate."""
-    params = make_params(N, a, b)
-    form = extremal_form(params)
-    log_tail_amp = math.log(form.amplitude) + form.sech_power * math.log(2.0)
-    T = max(min_T, math.ceil((log_tail_amp + 28.5) / abs(params.lam)))
-    n = int(round(2 * T / dt)) + 1
-    return sample_extremal(form, -T, dt, n)
+    form = extremal_form(make_params(N, a, b))
+    T = tail_window(form, min_T)
+    n = int(round(2 * T / 0.01)) + 1
+    return sample_extremal(form, -T, 0.01, n)
 
 
 def test_surface_measure_values():

@@ -8,8 +8,10 @@ import pytest
 from ckn_lab import (
     DegenerateParams,
     InadmissibleB,
+    InvalidStep,
     NonpositiveScale,
     OutOfGrid,
+    ResolutionTooLarge,
     dualize_profile,
     extremal_dt_value,
     extremal_form,
@@ -25,7 +27,7 @@ from ckn_lab import (
     write_profile_csv,
 )
 from ckn_lab.errors import CknLabError
-from ckn_lab.profiles import MIN_PROFILE_LEN, LogGridProfile
+from ckn_lab.profiles import MAX_GRID_NODES, MIN_PROFILE_LEN, LogGridProfile
 
 
 def test_form_constants_sobolev_point():
@@ -121,6 +123,22 @@ def test_profile_validation_rejects_short_and_negative():
     with pytest.raises(CknLabError):
         LogGridProfile(t0=0.0, dt=0.1, values=-np.ones(32), params=params,
                        is_solution=True)
+
+
+def test_samplers_check_the_grid_before_they_allocate():
+    params = make_params(3, 0.0, 0.0)
+    form = extremal_form(params)
+    for sample in (lambda *grid: sample_extremal(form, *grid),
+                   lambda *grid: sample_radial_form(params, 1.0, *grid)):
+        with pytest.raises(InvalidStep):
+            sample(0.0, 0.1, MIN_PROFILE_LEN - 1)
+        with pytest.raises(InvalidStep):  # the step, then the budget
+            sample(0.0, 0.0, MAX_GRID_NODES + 1)
+        with pytest.raises(ResolutionTooLarge):
+            sample(0.0, 0.1, MAX_GRID_NODES + 1)
+    # the control variant validates the regime before the grid
+    with pytest.raises(DegenerateParams):
+        sample_radial_form(make_params(3, 0.0, 1.0), 1.0, 0.0, 0.0, 1)
 
 
 def test_profile_values_are_read_only():

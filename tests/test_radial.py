@@ -11,6 +11,7 @@ from ckn_lab import (
     DegenerateParams,
     InvalidStep,
     LogGridProfile,
+    ResolutionTooLarge,
     TooShort,
     WrongRegime,
     extremal_form,
@@ -95,6 +96,8 @@ def test_integrate_rejects_bad_step_and_degenerate_params():
         integrate(params, 0.5, 0.0, (1.0, 1.0), 0.01)
     with pytest.raises(DegenerateParams):
         integrate(make_params(3, 0.0, 1.0), 0.5, 0.0, (0.0, 1.0), 0.01)
+    with pytest.raises(ResolutionTooLarge):
+        integrate(params, 0.5, 0.0, (0.0, 1.0), 1e-9)
 
 
 def test_integrate_blowup_guard():
