@@ -60,8 +60,8 @@ __all__ = [
 
 MIN_PROFILE_LEN = 16
 # every T/dt grid (sampled profiles, RK4 trajectories) stays below 2^22
-# nodes, 32 MiB per float64 array: about 30x the largest grid that the
-# tests and the benchmark workloads build (140,001 trajectory nodes)
+# nodes, 32 MiB per float64 array: about 55x the largest grid that the
+# tests build (76,001 trajectory nodes)
 MAX_GRID_NODES = 2 ** 22
 
 
@@ -195,10 +195,17 @@ def extremal_radial_value(form: ExtremalForm, r) -> np.ndarray:
     return np.exp(-form.params.lam * t) * extremal_value(form, t)
 
 
-def check_grid_nodes(n: int) -> None:
+def check_grid_nodes(n) -> None:
     """Raise ResolutionTooLarge when a T/dt grid would hold more than
-    MAX_GRID_NODES nodes."""
-    if n > MAX_GRID_NODES:
+    MAX_GRID_NODES nodes.
+
+    ``n`` may be a whole-valued float, counted before it becomes an int so
+    that no count overflows first; the error reports it as an int, or as
+    'inf'/'nan' past the float range.
+    """
+    if not n <= MAX_GRID_NODES:
+        if isinstance(n, float):
+            n = int(n) if math.isfinite(n) else str(n)
         raise ResolutionTooLarge(
             f"grid limited to {MAX_GRID_NODES} nodes, got {n}",
             n=n, limit=MAX_GRID_NODES)
@@ -342,10 +349,10 @@ def read_profile_csv(path, params: CknParams, *, is_solution: bool = False) -> L
             raise InvalidStep("profile CSV is not text") from exc
     if not rows or [c.strip() for c in rows[0]] != ["t", "w"]:
         raise InvalidStep("profile CSV must start with header 't,w'")
-    try:
-        t = np.array([float(r[0]) for r in rows[1:]])
-        w = np.array([float(r[1]) for r in rows[1:]])
-    except (IndexError, ValueError) as exc:
+    try:  # unpacking a row of one cell or of three raises ValueError too
+        t = np.array([float(ts) for ts, _ in rows[1:]])
+        w = np.array([float(ws) for _, ws in rows[1:]])
+    except ValueError as exc:
         raise InvalidStep("profile CSV rows must hold two numbers 't,w'") from exc
     if t.size < 2 or np.any(np.diff(t) <= 0):
         raise InvalidStep("profile CSV rows must be strictly increasing in t")

@@ -105,34 +105,42 @@ def _rk4_classify(w0, v0, h, n_max, lam2, pm1):
 
     Returns (event, t): event 1 = crossed w <= 0 (overshoot),
     event 2 = turned (w_t >= 0 while w > 0, after the first step),
-    event 3 = blow-up, event 0 = no event within n_max steps.
+    event 3 = blow-up (|w| past the limit, or |w|^q past the float range),
+    event 0 = no event within n_max steps.
     """
     q = pm1 - 1.0
     w, v = w0, v0
-    for i in range(n_max):
-        w, v = _rk4_step(w, v, h, lam2, q)
-        if w <= 0.0:
-            return 1, (i + 1) * h
-        if v >= 0.0:
-            return 2, (i + 1) * h
-        if abs(w) > BLOWUP_LIMIT:
-            return 3, (i + 1) * h
+    try:
+        for i in range(n_max):
+            w, v = _rk4_step(w, v, h, lam2, q)
+            if w <= 0.0:
+                return 1, (i + 1) * h
+            if v >= 0.0:
+                return 2, (i + 1) * h
+            if abs(w) > BLOWUP_LIMIT:
+                return 3, (i + 1) * h
+    except OverflowError:  # |w|^q left the float range inside step i
+        return 3, (i + 1) * h
     return 0, n_max * h
 
 
 def _rk4_store(w0, v0, h, n_steps, lam2, pm1, out_w, out_v):
     """Integrate n_steps and store every state; returns steps completed
-    before |w| exceeded the blow-up limit (n_steps if none)."""
+    before |w| exceeded the blow-up limit or |w|^q the float range
+    (n_steps if neither)."""
     q = pm1 - 1.0
     w, v = w0, v0
     out_w[0] = w
     out_v[0] = v
-    for i in range(n_steps):
-        w, v = _rk4_step(w, v, h, lam2, q)
-        out_w[i + 1] = w
-        out_v[i + 1] = v
-        if abs(w) > BLOWUP_LIMIT:
-            return i + 1
+    try:
+        for i in range(n_steps):
+            w, v = _rk4_step(w, v, h, lam2, q)
+            out_w[i + 1] = w
+            out_v[i + 1] = v
+            if abs(w) > BLOWUP_LIMIT:
+                return i + 1
+    except OverflowError:  # |w|^q left the float range inside step i
+        return i
     return n_steps
 
 
@@ -195,8 +203,24 @@ def integrate(params: CknParams, w0: float, w0_t: float,
                   energy_first_integral=energy)
 
 
-_SHOOT_SUBSTEP = 5e-4
+# h * rate of the shooting substep.  The README's error/time table has the
+# amplitude error within 3.4e-9 at this value; it goes as its 4th power
+_SHOOT_STEP_RATE = 0.025
 _TAIL_PATCH_FRACTION = 1e-5
+
+
+def _shoot_substeps(params: CknParams, dt: float, n_profile: int) -> int:
+    """RK4 substeps per output step dt: the least whole number >= 2 that
+    keeps h * rate <= _SHOOT_STEP_RATE, where rate = max(lam, gamma) and
+    gamma = lam (p-2)/2 is the sech rate of the orbit.
+
+    The fine grid n_profile * sub + 1 is counted in floats, so that an
+    orbit too steep for the node budget raises ResolutionTooLarge here.
+    """
+    rate = max(params.lam, 0.5 * params.lam * (params.p - 2.0))
+    sub = max(2.0, float(np.ceil(dt * rate / _SHOOT_STEP_RATE)))
+    check_grid_nodes(n_profile * sub + 1.0)
+    return int(sub)
 
 
 def shoot_homoclinic(params: CknParams, t_max: float, tol: float,
@@ -208,6 +232,11 @@ def shoot_homoclinic(params: CknParams, t_max: float, tol: float,
     homoclinic peak, a turning point (w_t >= 0 with w > 0) means below.
     The bracket [w_eq, 2 w_eq] always straddles the peak because
     A/w_eq = (p/2)^{1/(p-2)} lies in (1, e^{1/2}) and E(2 w_eq) > 0.
+
+    RK4 steps with h = dt/sub, sub = max(2, ceil(dt * rate / 0.025)) and
+    rate = max(lam, lam (p-2)/2), the orbit's fastest rate: RK4's error
+    goes as (h * rate)^4, so every orbit gets the same accuracy.  A fine
+    grid past the node budget raises ResolutionTooLarge before any step.
 
     The converged undershoot trajectory is sampled on [0, t_max] at ``dt``
     and its far tail (below 1e-5 of the peak, where bisection error
@@ -228,13 +257,12 @@ def shoot_homoclinic(params: CknParams, t_max: float, tol: float,
     w_eq = params.lam ** (2.0 / (params.p - 2.0))
 
     n_profile = int(round(t_max / dt))
-    sub = max(2, int(round(dt / _SHOOT_SUBSTEP)))
+    sub = _shoot_substeps(params, dt, n_profile)
     h = dt / sub
     n_fine = n_profile * sub
-    check_grid_nodes(n_fine + 1)
 
     lo, hi = w_eq, 2.0 * w_eq
-    ev_lo, _ = _rk4_classify(lo, 0.0, h, n_fine, lam2, pm1)
+    ev_lo, t_lo = _rk4_classify(lo, 0.0, h, n_fine, lam2, pm1)
     ev_hi, _ = _rk4_classify(hi, 0.0, h, n_fine, lam2, pm1)
     if not (ev_lo in (0, 2) and ev_hi == 1):
         raise NoConvergence(
@@ -248,30 +276,38 @@ def shoot_homoclinic(params: CknParams, t_max: float, tol: float,
         if (hi - lo) <= 4e-16 * lo:
             break
         mid = 0.5 * (lo + hi)
-        ev, _ = _rk4_classify(mid, 0.0, h, n_fine, lam2, pm1)
+        ev, t_ev = _rk4_classify(mid, 0.0, h, n_fine, lam2, pm1)
         if ev == 1:
             hi = mid
         elif ev in (0, 2):
-            lo = mid
+            lo, t_lo = mid, t_ev
         else:
             raise NoConvergence("trajectory blew up inside the bracket",
                                 lo=lo, hi=hi, m=mid)
     else:
         raise NoConvergence("bisection iteration cap reached", lo=lo, hi=hi)
 
-    # final run on the undershoot side stays positive until the patch region
-    run = integrate(params, lo, 0.0, (0.0, n_fine * h), h)
-    w_half = run.profile.values[::sub].copy()
-    n_half = w_half.size  # == n_profile + 1
+    # final run on the undershoot side stays positive until the patch
+    # region.  It turned at fine step k_turn (or ran to the end); past the
+    # turn its samples rise and the patch overwrites them, so it is stored
+    # only up to two output samples past the turn
+    n_half = n_profile + 1
+    k_turn = round(t_lo / h)
+    n_kept = min(n_profile, math.ceil(k_turn / sub) + 1)
+    run = integrate(params, lo, 0.0, (0.0, n_kept * sub * h), h)
+    w_half = np.empty(n_half)
+    w_half[:n_kept + 1] = run.profile.values[::sub]
     t_half = dt * np.arange(n_half)
 
     # patch the far tail with the exact rate from the first node where the
-    # samples either drop below the trigger or stop decreasing
-    cut = n_half
-    below = np.nonzero(w_half <= _TAIL_PATCH_FRACTION * lo)[0]
+    # samples either drop below the trigger or stop decreasing, and at the
+    # latest from the last stored node
+    cut = n_kept if n_kept < n_profile else n_half
+    kept = w_half[:n_kept + 1]
+    below = np.nonzero(kept <= _TAIL_PATCH_FRACTION * lo)[0]
     if below.size:
         cut = min(cut, int(below[0]))
-    rising = np.nonzero(np.diff(w_half) >= 0.0)[0]
+    rising = np.nonzero(np.diff(kept) >= 0.0)[0]
     if rising.size:
         cut = min(cut, int(rising[0]) + 1)
     if 1 <= cut < n_half:

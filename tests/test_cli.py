@@ -295,8 +295,9 @@ def test_usage_errors_print_one_pinned_line(capsys, argv, message):
 @pytest.mark.parametrize("content, message", [
     (b"t,w\n0,1\n1,x\n", "profile CSV rows must hold two numbers 't,w'"),
     (b"t,w\n0,1\n1\n", "profile CSV rows must hold two numbers 't,w'"),
+    (b"t,w\n0,1\n1,2,junk\n", "profile CSV rows must hold two numbers 't,w'"),
     (b"\xfe\xff\x00t", "profile CSV is not text"),
-], ids=["non-numeric", "one-column", "not-text"])
+], ids=["non-numeric", "one-column", "three-cells", "not-text"])
 def test_dualize_malformed_profile_is_invalid_step(capsys, tmp_path,
                                                    content, message):
     src, out = tmp_path / "bad.csv", tmp_path / "dual.csv"
@@ -366,6 +367,14 @@ _HUGE_PARAMETERS = [
       "--T", "1e9"], 2, "resolution_too_large"),
     # near p = 2 the amplitude is finite but w^2 and w^p overflow
     (["energy", "--N", "3", "--a=-2", "--b=-1.003"], 2, "not_converged"),
+    # at large p, |w|^(p-2) overflows in the RK4 step from the 2 w_eq end
+    (["shoot", "--N", "2", "--a=-5", "--b=-4.99", "--T", "5"], 2,
+     "no_convergence"),
+    (["shoot", "--N", "2", "--a=-5", "--b=-4.9999", "--T", "1"], 2,
+     "no_convergence"),
+    # an orbit rate of 1.1e6 needs more substeps than the node budget
+    (["shoot", "--N", "3", "--a=-1e6", "--b=-999999.8"], 2,
+     "resolution_too_large"),
 ]
 
 

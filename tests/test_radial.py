@@ -27,7 +27,7 @@ from ckn_lab import (
     shoot_homoclinic,
     spherical_average_monotone,
 )
-from ckn_lab.radial import _rk4_classify, _rk4_store
+from ckn_lab.radial import _rk4_classify, _rk4_store, _shoot_substeps
 
 
 def test_first_integral_drift_small_step():
@@ -114,6 +114,46 @@ def test_shoot_recovers_amplitude():
         assert abs(prof.values.max() - A) <= 1e-6 * A
         assert prof.is_solution
         assert prof.values.min() >= 0.0
+
+
+@pytest.mark.parametrize("N, a, b", [
+    (3, -40.0, -39.8),          # lam = 40.5, p = 4.29: rate gamma = 46
+    (2, -5.0, -5.0 + 2 / 2.7),  # lam = 5, p = 2.7: rate lam = 5
+    (2, -5.0, -5.0 + 2 / 12),   # p = 12: rate gamma = 25
+    (2, -5.0, -4.9),            # p = 20: rate gamma = 45
+])
+def test_shoot_step_follows_the_orbit_rate(N, a, b):
+    # a constant step fine enough at lam = 0.5 is too coarse here
+    params = make_params(N, a, b)
+    prof = shoot_homoclinic(params, t_max=40.0, tol=1e-6)
+    A = extremal_form(params).amplitude
+    assert abs(prof.values.max() - A) <= 1e-7 * A
+
+
+def _tail_cut(w_half, peak):
+    # the first node where the samples drop below 1e-5 of the peak or
+    # stop decreasing: the tail patch starts there
+    below = np.nonzero(w_half <= 1e-5 * peak)[0]
+    rising = np.nonzero(np.diff(w_half) >= 0.0)[0] + 1
+    return int(min(list(below[:1]) + list(rising[:1]) + [w_half.size]))
+
+
+@pytest.mark.parametrize("T, dt", [(40.0, 0.01), (15.0, 0.02)])
+@pytest.mark.parametrize("N, a, b", [
+    (3, -1.0, -0.2), (4, -3.5, -3.0), (2, -5.0, -4.9)])
+def test_shoot_stores_the_run_only_as_far_as_the_tail_patch(N, a, b, T, dt):
+    params = make_params(N, a, b)
+    prof = shoot_homoclinic(params, t_max=T, tol=1e-6, dt=dt)
+    n_profile = int(round(T / dt))
+    half = prof.values[n_profile:]
+    sub = _shoot_substeps(params, dt, n_profile)
+    h = dt / sub
+    # the same run stored over the whole window at the same step
+    full = integrate(params, half[0], 0.0, (0.0, n_profile * sub * h),
+                     h).profile.values[::sub]
+    cut = _tail_cut(full, half[0])
+    assert 1 <= cut < half.size
+    assert np.array_equal(half[:cut + 1], full[:cut + 1])
 
 
 def test_shoot_profile_matches_closed_form_pointwise():
