@@ -158,7 +158,10 @@ def _lp_r_space(profile: LogGridProfile) -> float:
     Gauss-Kronrod rule never faces the full exponential range at once;
     the segment sum is accumulated in grid order (deterministic).  Raises
     NotConverged when the weight r^{N-1-bp} overflows a float on the grid
-    (large -bp, e.g. N = 2, a = -2.55, b = -2.35).
+    (large -bp, e.g. N = 2, a = -2.55, b = -2.35), and when a segment
+    misses its tolerance or is not finite (large lam, where e^{-lam t}
+    overflows on the left tail, e.g. N = 3, a = -40, b = -39.5); the
+    integrand's float overflow is typed by those checks, not warned about.
     """
     # imported on first use: commands that never integrate in r start
     # without scipy
@@ -178,13 +181,22 @@ def _lp_r_space(profile: LogGridProfile) -> float:
         # rounding relative to the running total) from chasing pure
         # relative tolerance; the sweep order is fixed, so deterministic
         floor = 1e-16 * (1.0 + abs(total))
+        segment = (float(ta), float(tb))
         try:
-            val, _ = quad(integrand, math.exp(ta), math.exp(tb),
-                          epsabs=floor, epsrel=1e-10, limit=200)
+            # full_output returns quad's warning message instead of
+            # printing it
+            with np.errstate(over="ignore", invalid="ignore"):
+                val, _, _, *failure = quad(
+                    integrand, math.exp(ta), math.exp(tb),
+                    epsabs=floor, epsrel=1e-10, limit=200, full_output=1)
         except OverflowError as exc:
             raise NotConverged("r-space integrand overflowed the float range",
-                               N=p.N, a=p.a, b=p.b,
-                               segment=(float(ta), float(tb))) from exc
+                               N=p.N, a=p.a, b=p.b, segment=segment) from exc
+        if failure or not math.isfinite(val):
+            reason = " ".join(failure[0].split()) if failure else "not finite"
+            raise NotConverged("r-space quadrature failed on a segment",
+                               N=p.N, a=p.a, b=p.b, segment=segment,
+                               reason=reason)
         total += val
     return surface_measure(p.N) * total
 

@@ -209,7 +209,7 @@ _SHOOT_STEP_RATE = 0.025
 _TAIL_PATCH_FRACTION = 1e-5
 
 
-def _shoot_substeps(params: CknParams, dt: float, n_profile: int) -> int:
+def _shoot_substeps(params: CknParams, dt: float, n_profile: float) -> int:
     """RK4 substeps per output step dt: the least whole number >= 2 that
     keeps h * rate <= _SHOOT_STEP_RATE, where rate = max(lam, gamma) and
     gamma = lam (p-2)/2 is the sech rate of the orbit.
@@ -235,8 +235,9 @@ def shoot_homoclinic(params: CknParams, t_max: float, tol: float,
 
     RK4 steps with h = dt/sub, sub = max(2, ceil(dt * rate / 0.025)) and
     rate = max(lam, lam (p-2)/2), the orbit's fastest rate: RK4's error
-    goes as (h * rate)^4, so every orbit gets the same accuracy.  A fine
-    grid past the node budget raises ResolutionTooLarge before any step.
+    goes as (h * rate)^4, so every orbit gets the same accuracy.  A window
+    without one output step (t_max/dt rounds to 0) raises InvalidStep, and
+    a fine grid past the node budget ResolutionTooLarge, before any step.
 
     The converged undershoot trajectory is sampled on [0, t_max] at ``dt``
     and its far tail (below 1e-5 of the peak, where bisection error
@@ -252,14 +253,19 @@ def shoot_homoclinic(params: CknParams, t_max: float, tol: float,
     if not (t_max > 0 and dt > 0 and 0 < tol < 1):
         raise InvalidStep("need t_max > 0, dt > 0, 0 < tol < 1",
                           t_max=t_max, dt=dt, tol=tol)
+    # counted in floats, so that a count past the float range reaches the
+    # node budget in _shoot_substeps instead of failing int()
+    steps = float(np.rint(t_max / dt))
+    if steps < 1:
+        raise InvalidStep("t_max shorter than one output step",
+                          t_max=t_max, dt=dt)
+    sub = _shoot_substeps(params, dt, steps)
+    n_profile = int(steps)
+    h = dt / sub
+    n_fine = n_profile * sub
     lam2 = params.lam * params.lam
     pm1 = params.p - 1.0
     w_eq = params.lam ** (2.0 / (params.p - 2.0))
-
-    n_profile = int(round(t_max / dt))
-    sub = _shoot_substeps(params, dt, n_profile)
-    h = dt / sub
-    n_fine = n_profile * sub
 
     lo, hi = w_eq, 2.0 * w_eq
     ev_lo, t_lo = _rk4_classify(lo, 0.0, h, n_fine, lam2, pm1)

@@ -128,6 +128,15 @@ def asymptote_window(params: CknParams) -> float:
     return max(40.0, math.ceil((log_dev + 24.5) / (lam * (p - 2.0))))
 
 
+def _tridiagonal(op: ModeOperator) -> Tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the Dirichlet second-difference matrix
+    of -d^2/dt^2 + V on the interior grid nodes."""
+    _, dt, n = op.grid
+    d = 2.0 / dt ** 2 + op.potential[1:-1]
+    e = np.full(n - 3, -1.0 / dt ** 2)
+    return d, e
+
+
 def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenReport]:
     # imported on first use: commands that never solve start without scipy
     from scipy.linalg import eigh_tridiagonal
@@ -141,8 +150,7 @@ def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenRepo
             deviation=dev, tol=asymptote_tol,
             end_values=(float(V[0]), float(V[-1])),
         )
-    d = 2.0 / dt ** 2 + V[1:-1]
-    e = np.full(n - 3, -1.0 / dt ** 2)
+    d, e = _tridiagonal(op)
     try:
         vals, vecs = eigh_tridiagonal(
             d, e, select="i", select_range=(0, count - 1), lapack_driver="stebz",
@@ -191,6 +199,17 @@ def mode_eigenvalues(op: ModeOperator, count: int = 2, *,
     return _solve(op, count, asymptote_tol)
 
 
+def _fs_mode_operator(params: CknParams, T: float, dx: float) -> ModeOperator:
+    # the k=1 operator on [-T, T], residual-gated by build_mode_operator
+    if params.lam <= 0:
+        raise WrongRegime("k=1 criterion applies below the critical weight",
+                          a=params.a, a_c=params.a_c)
+    form = extremal_form(params)  # raises DegenerateParams at p <= 2
+    n = int(round(2 * T / dx)) + 1
+    prof = sample_extremal(form, -T, dx, n)
+    return build_mode_operator(prof, 1)
+
+
 def fs_mode_eigenvalue(params: CknParams, *, T: float = 40.0,
                        dx: float = 0.01,
                        asymptote_tol: float = math.inf) -> float:
@@ -208,14 +227,30 @@ def fs_mode_eigenvalue(params: CknParams, *, T: float = 40.0,
     where the sign change is located.  Pass a finite ``asymptote_tol`` to
     restore the strict behavior.
     """
-    if params.lam <= 0:
-        raise WrongRegime("k=1 criterion applies below the critical weight",
-                          a=params.a, a_c=params.a_c)
-    form = extremal_form(params)  # raises DegenerateParams at p <= 2
-    n = int(round(2 * T / dx)) + 1
-    prof = sample_extremal(form, -T, dx, n)
-    op = build_mode_operator(prof, 1)
+    op = _fs_mode_operator(params, T, dx)
     return principal_eigenvalue(op, asymptote_tol=asymptote_tol).mu
+
+
+def _positive_definite(op: ModeOperator) -> bool:
+    """Whether the operator's matrix is positive definite, that is, whether
+    its principal eigenvalue is positive.
+
+    By Sylvester's law of inertia the symmetric tridiagonal matrix has as
+    many negative eigenvalues as its LDL^T factorization has negative
+    pivots, so one O(n) factorization (LAPACK dpttrf, which stops at the
+    first pivot d <= 0) reads the sign without an eigensolve.  NaN passes
+    that pivot test, so a non-finite diagonal is refused first.
+    """
+    # imported on first use: commands that never solve start without scipy
+    from scipy.linalg.lapack import dpttrf
+
+    d, e = _tridiagonal(op)
+    if not np.isfinite(d).all():
+        p = op.params
+        raise NotConverged("mode operator has a non-finite potential",
+                           N=p.N, a=p.a, b=p.b, k=op.k)
+    info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2]
+    return info == 0
 
 
 def _pm2_to_gap(N: int, eps: float) -> float:
@@ -236,6 +271,10 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
     guarded endpoints do not straddle a sign change, which is what the
     rejected sign convention of the closed-form curve would produce.
 
+    Only the two endpoints are eigensolved.  Each bisection step reads the
+    sign alone, from an O(n) LDL^T inertia test of the same matrix
+    (:func:`_positive_definite`).
+
     Monotonicity of the k=1 eigenvalue in b (required for bisection) holds
     on all sampled families; it is asserted by the test suite rather than
     assumed blindly.
@@ -255,11 +294,9 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
         raise NoSignChange("guarded bracket is empty",
                            s_lo=s_lo, s_hi=s_hi, N=N, a=a)
 
-    def mu(b: float) -> float:
-        return fs_mode_eigenvalue(make_params(N, a, b), T=T, dx=dx)
-
     lo, hi = a + s_lo, a + s_hi
-    f_lo, f_hi = mu(lo), mu(hi)
+    f_lo = fs_mode_eigenvalue(make_params(N, a, lo), T=T, dx=dx)
+    f_hi = fs_mode_eigenvalue(make_params(N, a, hi), T=T, dx=dx)
     if not (f_lo < 0.0 < f_hi):
         raise NoSignChange(
             "k=1 eigenvalue does not change sign across the guarded bracket",
@@ -267,8 +304,8 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if mu(mid) < 0.0:
-            lo = mid
-        else:
+        if _positive_definite(_fs_mode_operator(make_params(N, a, mid), T, dx)):
             hi = mid
+        else:
+            lo = mid
     return 0.5 * (lo + hi)

@@ -375,6 +375,9 @@ _HUGE_PARAMETERS = [
     # an orbit rate of 1.1e6 needs more substeps than the node budget
     (["shoot", "--N", "3", "--a=-1e6", "--b=-999999.8"], 2,
      "resolution_too_large"),
+    # T / dt past the float range is counted before it becomes an int
+    (["shoot", "--N", "3", "--a", "0", "--b", "0", "--T", "1e308",
+      "--dt", "1e-300"], 2, "resolution_too_large"),
 ]
 
 
@@ -393,6 +396,40 @@ def test_huge_parameters_give_standard_json_or_typed_error(capsys, tmp_path,
     else:
         assert captured.out == ""
         assert _strict_json(captured.err)["code"] == label
+
+
+@pytest.mark.parametrize("argv, context", [
+    (["shoot", "--N", "3", "--a", "0", "--b", "0", "--T", "0.004"],
+     {"dt": 0.01, "t_max": 0.004}),
+    (["shoot", "--N", "3", "--a=-4e15", "--b=-4e15", "--dt", "1e300"],
+     {"dt": 1e300, "t_max": 40.0}),
+], ids=["T-below-half-dt", "huge-dt"])
+def test_shoot_without_an_output_step_prints_one_pinned_line(capsys, argv,
+                                                             context):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps(
+        {"code": "invalid_step", "context": context,
+         "message": "t_max shorter than one output step"},
+        sort_keys=True) + "\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # e^{-lam t} overflows on the left tail of the r-space quadrature
+    ["energy", "--N", "3", "--a=-40", "--b=-39.5", "--format", "json"],
+    # r^{N-1-bp} overflows on the right tail
+    ["energy", "--N", "2", "--a=-2.55", "--b=-2.35", "--format", "json"],
+], ids=lambda argv: " ".join(argv))
+def test_energy_defect_points_print_one_json_line_and_no_warning(capsys,
+                                                                 argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert _strict_json(lines[0])["code"] == "not_converged"
 
 
 def test_energy_overflow_is_a_typed_error(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ckn_lab import params as P
 from ckn_lab.errors import InadmissibleB, InvalidDimension, OutOfDomain
@@ -213,3 +215,46 @@ def test_dualize_params_exact_involution_and_preservation():
         assert back is q                       # exact involution
     q = P.make_params(3, 0.2, 0.6)
     assert P.dualize_params(P.dualize_params(q)) is q
+
+
+# property tests: hypothesis draws the points (derandomized in conftest)
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _admissible(draw):
+    N = draw(st.integers(2, 12))
+    a = draw(st.floats(-1e6, 1e6))
+    s = draw(st.floats(0.0, 1.0))
+    try:
+        return P.make_params(N, a, a + s)
+    except InadmissibleB:  # b = a for N = 2, or a + s rounded out of the band
+        assume(False)
+
+
+@given(_admissible())
+def test_dualize_params_is_an_exact_involution(q):
+    d = P.dualize_params(q)
+    back = P.dualize_params(d)
+    assert back is q
+    assert d.p == q.p and d.lam == -q.lam
+
+
+@given(st.integers(-3, 20), _FINITE,
+       st.one_of(_FINITE, st.floats(-0.5, 1.5)), st.booleans())
+def test_region_label_never_raises_on_finite_input(N, a, b_or_s, offset):
+    # b drawn on its own, or as a + s around the admissible band
+    b = a + b_or_s if offset else b_or_s
+    assume(math.isfinite(b))
+    assert isinstance(P.region_label(N, a, b).variant, P.Region)
+
+
+@given(_admissible())
+def test_autonomy_identity_holds_to_rounding(q):
+    # tau = -bp + 2a and lam (p-2) - 2 agree up to the rounding of their
+    # largest terms
+    lhs = q.tau
+    rhs = q.lam * (q.p - 2) - 2.0
+    scale = q.p * (abs(q.a) + abs(q.b) + q.a_c) + 2.0 * abs(q.a) + q.N + 2.0
+    assert abs(lhs - rhs) <= 8.0 * np.finfo(float).eps * scale

@@ -13,10 +13,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ckn_lab import (
     InvalidStep,
     LogGridProfile,
+    ModeOperator,
+    NotConverged,
     OutOfDomain,
     TailNotDecayed,
     UnverifiedProfile,
@@ -31,6 +35,7 @@ from ckn_lab import (
     principal_eigenvalue,
     sample_extremal,
     sample_radial_form,
+    spectrum,
 )
 
 
@@ -187,3 +192,60 @@ def test_threshold_input_validation():
         find_fs_threshold(3, -1.0, 1e-7)
     with pytest.raises(OutOfDomain):
         find_fs_threshold(3, 0.2, 1e-5)
+
+
+@pytest.mark.parametrize("N, a", [(2, -1.0), (3, -0.5), (4, -2.0),
+                                  (5, -3.0), (6, -0.3)])
+def test_inertia_bisection_matches_eigensolve_bisection(monkeypatch, N, a):
+    # the search eigensolves only its two bracket ends; recording them
+    # gives the reference bisection the same bracket
+    ends = []
+
+    def recording(params, **kwargs):
+        ends.append(params.b)
+        return fs_mode_eigenvalue(params, **kwargs)
+
+    monkeypatch.setattr(spectrum, "fs_mode_eigenvalue", recording)
+    found = find_fs_threshold(N, a, 1e-6)
+    assert len(ends) == 2
+    lo, hi = ends
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if fs_mode_eigenvalue(make_params(N, a, mid)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert found == 0.5 * (lo + hi)
+
+
+@settings(max_examples=40)
+@given(N=st.integers(2, 6), lam=st.floats(0.2, 4.0), s=st.floats(0.25, 0.95),
+       offset=st.floats(-1.0, 1.0), decades=st.integers(0, 8))
+def test_inertia_sign_matches_principal_eigenvalue(N, lam, s, offset,
+                                                   decades):
+    # shifting the potential by a constant shifts every eigenvalue by it:
+    # move the principal eigenvalue to offset * 10^-decades, so that the
+    # draws reach down to the sign change
+    a = (N - 2) / 2.0 - lam
+    op = spectrum._fs_mode_operator(make_params(N, a, a + s), 40.0, 0.01)
+    shift = offset * 10.0 ** -decades - principal_eigenvalue(
+        op, asymptote_tol=math.inf).mu
+    shifted = ModeOperator(k=op.k, lambda_k=op.lambda_k,
+                           potential=op.potential + shift, grid=op.grid,
+                           params=op.params)
+    mu = principal_eigenvalue(shifted, asymptote_tol=math.inf).mu
+    assume(abs(mu) > 1e-9)
+    assert spectrum._positive_definite(shifted) == (mu > 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_inertia_test_rejects_a_non_finite_potential(bad):
+    # LAPACK's pivot test d <= 0 is false for NaN: a NaN potential would
+    # read as positive definite if it reached the factorization
+    op = spectrum._fs_mode_operator(make_params(3, -1.0, -0.5), 40.0, 0.01)
+    V = op.potential.copy()
+    V[4000] = bad
+    broken = ModeOperator(k=op.k, lambda_k=op.lambda_k, potential=V,
+                          grid=op.grid, params=op.params)
+    with pytest.raises(NotConverged):
+        spectrum._positive_definite(broken)
