@@ -28,6 +28,7 @@ from .profiles import (
     sample_extremal,
     sample_radial_form,
     scale_profile,
+    window_nodes,
 )
 from .radial import (
     Conclusion,
@@ -44,7 +45,7 @@ from .spectrum import build_mode_operator, find_fs_threshold, mode_eigenvalues
 def _decayed_extremal(params, min_T):
     form = extremal_form(params)
     T = tail_window(form, min_T)
-    return sample_extremal(form, -T, 0.01, int(round(2 * T / 0.01)) + 1)
+    return sample_extremal(form, -T, 0.01, window_nodes(T, 0.01))
 
 
 def criterion_1():
@@ -145,7 +146,7 @@ def criterion_5():
         params = make_params(N, a, b)
         form = extremal_form(params)
         for dx, bound in ((0.01, 1e-4), (0.0025, 1e-6)):
-            n = int(round(2 * T / dx)) + 1
+            n = window_nodes(T, dx)
             op = build_mode_operator(sample_extremal(form, -T, dx, n), 0)
             mu2 = mode_eigenvalues(op, count=2)[1].mu
             if dx == 0.01:
@@ -283,37 +284,27 @@ _HAND_TABLE = [
 
 def criterion_10():
     """Region map against a hand-classified table, byte-identical across
-    ``CKN_LAB_THREADS`` values.
+    two runs.
 
-    The CLI entry point ``cli.main`` runs in this process, once with
-    ``CKN_LAB_THREADS=1`` and once with ``4``.  Sweeps run in one thread
-    and only validate the variable, so the two maps must match byte for
-    byte.  The caller's ``CKN_LAB_THREADS`` (set or unset) is restored
-    afterwards, and the JSON error line of a failing run is reported."""
-    saved = os.environ.get("CKN_LAB_THREADS")
+    The CLI entry point ``cli.main`` runs the same argv twice in this
+    process, and the two maps must match byte for byte.  The JSON error
+    line of a failing run is reported."""
     with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "map.csv")
+        argv = ["regionmap", "--N", "3",
+                "--a-min", "-3", "--a-max", "3.21875",
+                "--b-min", "-3", "--b-max", "3.21875",
+                "--na", "200", "--nb", "200", "--out", out]
         outputs = []
-        try:
-            for threads in ("1", "4"):
-                out = os.path.join(tmp, f"map_{threads}.csv")
-                os.environ["CKN_LAB_THREADS"] = threads
-                argv = ["regionmap", "--N", "3",
-                        "--a-min", "-3", "--a-max", "3.21875",
-                        "--b-min", "-3", "--b-max", "3.21875",
-                        "--na", "200", "--nb", "200", "--out", out]
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err):
-                    code = cli.main(argv)
-                if code != 0:
-                    return False, (f"regionmap exited {code}: "
-                                   f"{err.getvalue()[:200]}")
-                with open(out, "rb") as fh:
-                    outputs.append(fh.read())
-        finally:
-            if saved is None:
-                os.environ.pop("CKN_LAB_THREADS", None)
-            else:
-                os.environ["CKN_LAB_THREADS"] = saved
+        for _ in range(2):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            if code != 0:
+                return False, (f"regionmap exited {code}: "
+                               f"{err.getvalue()[:200]}")
+            with open(out, "rb") as fh:
+                outputs.append(fh.read())
         identical = outputs[0] == outputs[1]
         table = {}
         for line in outputs[0].decode().splitlines()[1:]:
@@ -323,7 +314,7 @@ def criterion_10():
                   for (a, b, want) in _HAND_TABLE
                   if table.get((a, b)) != want]
     ok = identical and not misses
-    return ok, (f"byte-identical across 1 vs 4 workers: {identical}; "
+    return ok, (f"byte-identical across two runs: {identical}; "
                 f"hand-table matches: {len(_HAND_TABLE) - len(misses)}"
                 f"/{len(_HAND_TABLE)}"
                 + (f"; mismatches {misses}" if misses else ""))
@@ -357,12 +348,12 @@ def run_criterion(number):
     raise KeyError(number)
 
 
-def run_all(print_fn=print):
+def run_all():
     """Run all criteria, print one line each; returns True iff all pass."""
     all_ok = True
     for (k, name, _fn, _budget) in CRITERIA:
         ok, detail, elapsed, _ = run_criterion(k)
         all_ok = all_ok and ok
-        print_fn(f"{'PASS' if ok else 'FAIL'} criterion {k}: {name}: "
-                 f"{detail} [{elapsed:.2f}s]")
+        print(f"{'PASS' if ok else 'FAIL'} criterion {k}: {name}: "
+              f"{detail} [{elapsed:.2f}s]")
     return all_ok

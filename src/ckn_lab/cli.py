@@ -3,9 +3,9 @@
 Single-point queries print one JSON object; sweeps print CSV; the region
 map can additionally be rendered as SVG (a presentation layer on top of
 the CSV, never a substitute for it).  All outputs are deterministic:
-identical flags produce byte-identical files, and sweeps run in input
-order in one thread.  Library errors surface as single-line JSON on
-stderr with exit code 2.
+argv is the only input, so identical flags produce byte-identical files,
+and sweeps run in input order in one thread.  Library errors surface as
+single-line JSON on stderr with exit code 2.
 
 Commands where a quantity with two circulating conventions is computed
 (the threshold-curve sign, the closed-form inner exponent) also write a
@@ -40,6 +40,7 @@ from .profiles import (
     read_profile_csv,
     sample_extremal,
     sample_radial_form,
+    window_nodes,
     write_profile_csv,
 )
 from .radial import residual_autonomous, shoot_homoclinic
@@ -82,21 +83,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _g(x) -> str:
     return format(float(x), ".17g")
-
-
-def _check_thread_env() -> None:
-    # sweeps run in one thread; the variable is still validated so that a
-    # bad value stays a usage error
-    raw = os.environ.get("CKN_LAB_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise _UsageError(
-            f"CKN_LAB_THREADS must be a positive integer, got {raw!r}")
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -194,7 +180,7 @@ def _cmd_extremal(args) -> int:
     params = _require_point(args)
     form = extremal_form(params)
     T, dt = _grid_T(args), args.dt
-    n = int(round(2.0 * T / dt)) + 1
+    n = window_nodes(T, dt)
     profile = sample_extremal(form, -T, dt, n)
     variant = sample_radial_form(params, (params.p - 1.0) * params.lam,
                                  -T, dt, n)
@@ -244,11 +230,14 @@ def _cmd_fs_curve(args) -> int:
         raise _UsageError("fs-curve requires --a-min and --a-max")
     if steps < 1:
         raise _UsageError(f"--steps must be >= 1, got {steps}")
+    if steps > MAX_MAP_NODES:
+        raise ResolutionTooLarge(
+            f"threshold curve limited to {MAX_MAP_NODES} nodes",
+            steps=steps, limit=MAX_MAP_NODES)
     if a_max < a_min:
         raise _UsageError("--a-max must be >= --a-min")
     T, dx = _grid_T(args), args.dt
     a_values = _nodes(a_min, a_max, steps)
-    _check_thread_env()
     lines = ["a,b_fs_closed,b_fs_numeric,abs_err"]
     for a in a_values:
         closed = b_fs(N, a)
@@ -267,7 +256,7 @@ def _cmd_spectrum(args) -> int:
     dx, kmax = args.dt, args.kmax
     if kmax < 0:
         raise _UsageError(f"--kmax must be >= 0, got {kmax}")
-    n = int(round(2.0 * T / dx)) + 1
+    n = window_nodes(T, dx)
     profile = sample_extremal(form, -T, dx, n)
     lines = ["k,lambda_k,mu1,mu2"]
     for k in range(kmax + 1):
@@ -302,7 +291,7 @@ def _cmd_energy(args) -> int:
     form = extremal_form(params)
     T = tail_window(form) if args.T is None else args.T
     dt = args.dt
-    n = int(round(2.0 * T / dt)) + 1
+    n = window_nodes(T, dt)
     profile = sample_extremal(form, -T, dt, n)
     rep = energy_report(profile)
     fmt = args.format or "csv"
@@ -463,7 +452,6 @@ def _cmd_regionmap(args) -> int:
                           "b_min <= b_max")
     a_nodes = _nodes(a_min, a_max, na)
     b_nodes = _nodes(b_min, b_max, nb)
-    _check_thread_env()
     labels = [[region_label(N, a, b).variant.value for b in b_nodes]
               for a in a_nodes]
 

@@ -133,7 +133,9 @@ def extremal_form(params: CknParams) -> ExtremalForm:
     Requires lam != 0 and p > 2; at lam = 0 or p = 2 no homoclinic exists
     (those are the Liouville regimes).  Near p = 2 the amplitude
     (p lam^2/2)^{1/(p-2)} can exceed double range when lam > 1; that is a
-    genuine divergence of the family and is reported as degenerate.
+    genuine divergence of the family and is reported as degenerate.  So is
+    a lam so close to 0 (|lam| below about 1e-162) that p lam^2/2
+    underflows to 0 and has no logarithm.
     """
     lam, p = params.lam, params.p
     if lam == 0.0:
@@ -142,7 +144,12 @@ def extremal_form(params: CknParams) -> ExtremalForm:
     if p <= 2.0:
         raise DegenerateParams("p <= 2: no homoclinic (Hardy endpoint)",
                                a=params.a, b=params.b, p=p)
-    log_amp = math.log(p * lam * lam / 2.0) / (p - 2.0)
+    amp_pow = p * lam * lam / 2.0  # A^{p-2}
+    if not amp_pow > 0.0:
+        raise DegenerateParams(
+            "p lam^2 / 2 underflows double precision as lam -> 0",
+            a=params.a, b=params.b, p=p, lam=lam)
+    log_amp = math.log(amp_pow) / (p - 2.0)
     if log_amp > 700.0:
         raise DegenerateParams(
             "extremal amplitude exceeds double precision as p -> 2",
@@ -209,6 +216,20 @@ def check_grid_nodes(n) -> None:
         raise ResolutionTooLarge(
             f"grid limited to {MAX_GRID_NODES} nodes, got {n}",
             n=n, limit=MAX_GRID_NODES)
+
+
+def window_nodes(T: float, dt: float) -> int:
+    """Node count of the grid on [-T, T] at step dt, checked by
+    check_grid_nodes; a quotient 2T/dt past the float range counts as
+    infinitely many nodes.
+
+    The 1 is added to the int, so that a count past 2^53 is reported to
+    the node.
+    """
+    q = 2.0 * T / dt
+    n = int(round(q)) + 1 if math.isfinite(q) else math.inf
+    check_grid_nodes(n)
+    return n
 
 
 def _sample_grid(t0: float, dt: float, n: int) -> np.ndarray:

@@ -44,7 +44,8 @@ from .errors import (
     WrongRegime,
 )
 from .params import CknParams, make_params
-from .profiles import LogGridProfile, extremal_form, sample_extremal
+from .profiles import (LogGridProfile, extremal_form, sample_extremal,
+                       window_nodes)
 from .radial import residual_autonomous
 
 __all__ = [
@@ -205,30 +206,28 @@ def _fs_mode_operator(params: CknParams, T: float, dx: float) -> ModeOperator:
         raise WrongRegime("k=1 criterion applies below the critical weight",
                           a=params.a, a_c=params.a_c)
     form = extremal_form(params)  # raises DegenerateParams at p <= 2
-    n = int(round(2 * T / dx)) + 1
+    n = window_nodes(T, dx)
     prof = sample_extremal(form, -T, dx, n)
     return build_mode_operator(prof, 1)
 
 
 def fs_mode_eigenvalue(params: CknParams, *, T: float = 40.0,
-                       dx: float = 0.01,
-                       asymptote_tol: float = math.inf) -> float:
+                       dx: float = 0.01) -> float:
     """Principal eigenvalue of the k=1 mode at a parameter point.
 
     Negative means the radial extremal is unstable against the first
     sphere-harmonic sector (symmetry-breaking side of the threshold);
     positive means the stable sector.
 
-    The potential-asymptote gate is off by default: near p = 2 the sech
-    well widens like 1/(lam (p-2)) and no fixed window reaches the
-    asymptote, yet Dirichlet truncation only biases the eigenvalue upward,
-    which preserves the sign on the stable side.  Near the threshold
-    itself the well is O(1/lam) wide, so the value is accurate exactly
-    where the sign change is located.  Pass a finite ``asymptote_tol`` to
-    restore the strict behavior.
+    The potential-asymptote gate is off: near p = 2 the sech well widens
+    like 1/(lam (p-2)) and no fixed window reaches the asymptote, yet
+    Dirichlet truncation only biases the eigenvalue upward, which
+    preserves the sign on the stable side.  Near the threshold itself the
+    well is O(1/lam) wide, so the value is accurate exactly where the sign
+    change is located.
     """
     op = _fs_mode_operator(params, T, dx)
-    return principal_eigenvalue(op, asymptote_tol=asymptote_tol).mu
+    return principal_eigenvalue(op, asymptote_tol=math.inf).mu
 
 
 def _positive_definite(op: ModeOperator) -> bool:

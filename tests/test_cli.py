@@ -9,6 +9,8 @@ once.  Every stdout artifact is either one JSON object or a CSV table;
 every failure is exit code 2 with a single JSON error line on stderr.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -18,10 +20,13 @@ import xml.dom.minidom
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ckn_lab
 from ckn_lab import acceptance
-from ckn_lab import b_fs, extremal_form, make_params, read_profile_csv
+from ckn_lab import (b_fs, extremal_form, make_params, read_profile_csv,
+                     region_label)
 from ckn_lab.cli import main
 
 
@@ -170,10 +175,8 @@ def test_fs_curve_rows_and_determinism(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["fs-curve", "--N", "3", "--a-min", "-1", "--a-max", "-0.5",
             "--steps", "2", "--out", str(tmp_path / "curve.csv")]
-    monkeypatch.setenv("CKN_LAB_THREADS", "1")
     assert main(argv) == 0
     first = (tmp_path / "curve.csv").read_bytes()
-    monkeypatch.setenv("CKN_LAB_THREADS", "2")
     assert main(argv) == 0
     assert (tmp_path / "curve.csv").read_bytes() == first
     lines = first.decode().strip().splitlines()
@@ -186,16 +189,12 @@ def test_fs_curve_rows_and_determinism(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
 
 
-def test_regionmap_csv_deterministic_across_thread_counts(tmp_path,
-                                                          monkeypatch,
-                                                          capsys):
+def test_regionmap_csv_deterministic(tmp_path, capsys):
     argv = ["regionmap", "--N", "3", "--a-min", "-2", "--a-max", "1",
             "--b-min", "-2", "--b-max", "2", "--na", "25", "--nb", "25",
             "--out", str(tmp_path / "map.csv")]
-    monkeypatch.setenv("CKN_LAB_THREADS", "1")
     assert main(argv) == 0
     first = (tmp_path / "map.csv").read_bytes()
-    monkeypatch.setenv("CKN_LAB_THREADS", "3")
     assert main(argv) == 0
     assert (tmp_path / "map.csv").read_bytes() == first
     lines = first.decode().strip().splitlines()
@@ -205,6 +204,32 @@ def test_regionmap_csv_deterministic_across_thread_counts(tmp_path,
     assert {"Invalid", "SymmetryRadial", "SymmetryBreaking",
             "DualRegime"} <= labels
     capsys.readouterr()
+
+
+@settings(max_examples=60)
+@given(N=st.integers(2, 6), k=st.integers(1, 4),
+       a_eighths=st.integers(-32, 24), b_eighths=st.integers(-32, 32),
+       na=st.integers(1, 33), nb=st.integers(1, 33))
+def test_regionmap_matches_the_scalar_classifier(N, k, a_eighths, b_eighths,
+                                                 na, nb):
+    # dyadic windows on the lattice of their step 2^-k: a = a_c, a = 0,
+    # b = a and b = a + 1 fall exactly on nodes
+    step = 2.0 ** -k
+    a_min = math.floor(a_eighths / 8 / step) * step
+    b_min = math.floor(b_eighths / 8 / step) * step
+    argv = ["regionmap", "--N", str(N),
+            f"--a-min={a_min}", f"--a-max={a_min + (na - 1) * step}",
+            f"--b-min={b_min}", f"--b-max={b_min + (nb - 1) * step}",
+            "--na", str(na), "--nb", str(nb)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+    assert [(float(a), float(b)) for a, b, _ in rows] == [
+        (a_min + i * step, b_min + j * step)
+        for i in range(na) for j in range(nb)]
+    for a, b, label in rows:
+        assert label == region_label(N, float(a), float(b)).variant.value
 
 
 def test_regionmap_svg_is_valid_xml_with_legend(tmp_path, capsys):
@@ -398,6 +423,52 @@ def test_huge_parameters_give_standard_json_or_typed_error(capsys, tmp_path,
         assert _strict_json(captured.err)["code"] == label
 
 
+_INF_GRID = {"code": "resolution_too_large",
+             "context": {"limit": 4194304, "n": "inf"},
+             "message": "grid limited to 4194304 nodes, got inf"}
+
+_PINNED_ERRORS = [
+    # 2T/dt past the float range counts as infinitely many nodes
+    (["extremal", "--N", "3", "--a", "0", "--b", "0", "--T", "1e300",
+      "--dt", "1e-10"], _INF_GRID),
+    (["spectrum", "--N", "3", "--a", "0", "--b", "0", "--T", "1e300",
+      "--dt", "1e-10"], _INF_GRID),
+    (["energy", "--N", "3", "--a", "0", "--b", "0", "--T", "1e300",
+      "--dt", "1e-10"], _INF_GRID),
+    (["spectrum", "--N", "3", "--a", "0", "--b", "0", "--dt", "1e-320"],
+     _INF_GRID),
+    (["fs-curve", "--N", "3", "--a-min=-1", "--a-max=-1", "--steps", "1",
+      "--T", "1e300", "--dt", "1e-10"], _INF_GRID),
+    # at N = 2, p lam^2 / 2 underflows to 0 for 0 < |a| below about 1e-162
+    (["extremal", "--N", "2", "--a=-1e-300", "--b=0.5"],
+     {"code": "degenerate_params",
+      "context": {"a": -1e-300, "b": 0.5, "lam": 1e-300, "p": 4.0},
+      "message": "p lam^2 / 2 underflows double precision as lam -> 0"}),
+    # the a-list of fs-curve gets the region map's per-axis limit
+    (["fs-curve", "--N", "3", "--a-min=-1", "--a-max=-0.5", "--steps",
+      "2001"],
+     {"code": "resolution_too_large",
+      "context": {"limit": 2000, "steps": 2001},
+      "message": "threshold curve limited to 2000 nodes"}),
+    (["fs-curve", "--N", "3", "--a-min=-1", "--a-max=-0.5", "--steps",
+      "1000000000000"],
+     {"code": "resolution_too_large",
+      "context": {"limit": 2000, "steps": 1000000000000},
+      "message": "threshold curve limited to 2000 nodes"}),
+]
+
+
+@pytest.mark.parametrize("argv, payload", _PINNED_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in _PINNED_ERRORS])
+def test_typed_errors_print_one_pinned_line(capsys, tmp_path, monkeypatch,
+                                            argv, payload):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps(payload, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("argv, context", [
     (["shoot", "--N", "3", "--a", "0", "--b", "0", "--T", "0.004"],
      {"dt": 0.01, "t_max": 0.004}),
@@ -441,10 +512,15 @@ def test_energy_overflow_is_a_typed_error(capsys):
             err["context"]["b"]) == (2, -2.55, -2.35)
 
 
-def test_bad_thread_env_is_a_usage_error(capsys, monkeypatch):
+def test_regionmap_ignores_ckn_lab_threads(capsys, monkeypatch):
+    # argv is the only input: not even a value below 1 changes a byte
+    argv = ["regionmap", "--na", "16", "--nb", "16"]
+    monkeypatch.delenv("CKN_LAB_THREADS", raising=False)
+    assert main(argv) == 0
+    unset = capsys.readouterr()
     monkeypatch.setenv("CKN_LAB_THREADS", "0")
-    err = _run_error(capsys, ["regionmap", "--na", "16", "--nb", "16"])
-    assert err["code"] == "usage_error"
+    assert main(argv) == 0
+    assert capsys.readouterr() == unset
 
 
 def _child_env():

@@ -27,7 +27,8 @@ from ckn_lab import (
     write_profile_csv,
 )
 from ckn_lab.errors import CknLabError
-from ckn_lab.profiles import MAX_GRID_NODES, MIN_PROFILE_LEN, LogGridProfile
+from ckn_lab.profiles import (MAX_GRID_NODES, MIN_PROFILE_LEN, LogGridProfile,
+                              window_nodes)
 
 
 def test_form_constants_sobolev_point():
@@ -62,6 +63,16 @@ def test_form_degenerates_at_hardy_endpoint():
 def test_form_degenerates_at_critical_a():
     with pytest.raises(DegenerateParams):
         extremal_form(make_params(4, 1.0, 1.3))
+
+
+@pytest.mark.parametrize("a, b", [(-1e-300, 0.5), (1e-300, 0.6)])
+def test_form_degenerates_when_p_lam_squared_underflows(a, b):
+    # at N = 2, lam = -a: p lam^2 / 2 underflows to 0 below |a| ~ 1e-162
+    with pytest.raises(DegenerateParams) as info:
+        extremal_form(make_params(2, a, b))
+    assert info.value.context["lam"] == -a
+    above = make_params(2, math.copysign(1e-150, a), b)
+    assert extremal_form(above).amplitude > 0
 
 
 def test_radial_value_matches_aubin_talenti():
@@ -139,6 +150,16 @@ def test_samplers_check_the_grid_before_they_allocate():
     # the control variant validates the regime before the grid
     with pytest.raises(DegenerateParams):
         sample_radial_form(make_params(3, 0.0, 1.0), 1.0, 0.0, 0.0, 1)
+
+
+def test_window_nodes_counts_exactly_and_past_the_float_range():
+    assert window_nodes(40.0, 0.01) == 8001
+    with pytest.raises(ResolutionTooLarge) as info:
+        window_nodes(2.0 ** 52, 1.0)  # 2^53 + 1 has no float
+    assert info.value.context["n"] == 2 ** 53 + 1
+    with pytest.raises(ResolutionTooLarge) as info:
+        window_nodes(1e300, 1e-10)
+    assert info.value.context["n"] == "inf"
 
 
 def test_profile_values_are_read_only():
