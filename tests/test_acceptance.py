@@ -7,6 +7,10 @@ teed log) even when the criterion passes.  Wall-clock budgets are
 enforced inside run_criterion, so a pass here covers them too.
 """
 
+import os
+
+import pytest
+
 from ckn_lab.acceptance import CRITERIA, run_criterion
 
 _NAMES = {k: name for (k, name, _fn, _budget) in CRITERIA}
@@ -60,8 +64,17 @@ def test_criterion_10_region_map_hand_table_deterministic(capsys):
     _check(10, capsys)
 
 
-def test_criterion_10_runs_from_any_cwd(tmp_path, monkeypatch):
+# The package reads no CKN_LAB_THREADS; set or unset, criterion 10 must pass
+# and leave the variable exactly as it found it.
+@pytest.mark.parametrize("threads", ["sentinel", None], ids=["set", "unset"])
+def test_criterion_10_runs_from_any_cwd_and_restores_thread_env(
+        threads, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    if threads is None:
+        monkeypatch.delenv("CKN_LAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("CKN_LAB_THREADS", threads)
     ok, detail, _elapsed, _budget = run_criterion(10)
     assert ok, detail
+    assert os.environ.get("CKN_LAB_THREADS") == threads
     assert list(tmp_path.iterdir()) == []
