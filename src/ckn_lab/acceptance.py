@@ -20,7 +20,8 @@ import numpy as np
 
 from . import cli
 from .energy import composite_simpson, energy_report, verify_dual_energy
-from .params import b_fs, b_fs_printed, dualize_params, make_params
+from .params import (b_fs, b_fs_printed, dualize_params, make_params,
+                     region_label)
 from .profiles import (
     dualize_profile,
     extremal_form,
@@ -283,12 +284,13 @@ _HAND_TABLE = [
 
 
 def criterion_10():
-    """Region map against a hand-classified table, byte-identical across
-    two runs.
+    """Region map against a hand-classified table and the scalar
+    classifier, byte-identical across two runs.
 
     The CLI entry point ``cli.main`` runs the same argv twice in this
-    process, and the two maps must match byte for byte.  The JSON error
-    line of a failing run is reported."""
+    process, and the two maps must match byte for byte.  Every node's
+    label must equal ``region_label`` at its printed (a, b).  The JSON
+    error line of a failing run is reported."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "map.csv")
         argv = ["regionmap", "--N", "3",
@@ -313,11 +315,17 @@ def criterion_10():
         misses = [(a, b, want, table.get((a, b)))
                   for (a, b, want) in _HAND_TABLE
                   if table.get((a, b)) != want]
-    ok = identical and not misses
+        scalar_misses = [(a, b, label) for (a, b), label in table.items()
+                         if region_label(3, a, b).variant.value != label]
+    ok = (identical and not misses and not scalar_misses
+          and len(table) == 200 * 200)
     return ok, (f"byte-identical across two runs: {identical}; "
                 f"hand-table matches: {len(_HAND_TABLE) - len(misses)}"
-                f"/{len(_HAND_TABLE)}"
-                + (f"; mismatches {misses}" if misses else ""))
+                f"/{len(_HAND_TABLE)}; scalar-classifier matches: "
+                f"{len(table) - len(scalar_misses)}/{200 * 200}"
+                + (f"; mismatches {misses}" if misses else "")
+                + (f"; scalar mismatches {scalar_misses[:5]}"
+                   if scalar_misses else ""))
 
 
 CRITERIA = [

@@ -18,10 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import re
 import sys
-from typing import Optional
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import CknLabError, ResolutionTooLarge
 from .params import (
@@ -32,6 +35,7 @@ from .params import (
     del_direct_bound,
     dualize_params,
     make_params,
+    region_keys,
     region_label,
 )
 from .profiles import (
@@ -51,6 +55,9 @@ from .energy import energy_report, hardy_check, tail_window, verify_dual_energy
 __all__ = ["main"]
 
 MAX_MAP_NODES = 2000
+# a-columns classified per region_keys call: bounds its arrays at
+# _MAP_BLOCK x nb nodes
+_MAP_BLOCK = 64
 
 _REGION_COLORS = [
     (Region.INVALID.value, "#dddddd"),
@@ -61,6 +68,7 @@ _REGION_COLORS = [
     (Region.BOUNDARY_BA.value, "#ff7f0e"),
     (Region.DUAL_REGIME.value, "#2ca02c"),
 ]
+_REGION_NAMES = [name for name, _ in _REGION_COLORS]
 
 
 class _UsageError(Exception):
@@ -85,12 +93,13 @@ def _g(x) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], path: Optional[str]) -> None:
+    """Write the text chunks in turn to ``path``, or to stdout."""
     if path:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _print_json(obj: dict) -> None:
@@ -244,7 +253,7 @@ def _cmd_fs_curve(args) -> int:
         numeric = find_fs_threshold(N, a, args.tol, T=T, dx=dx)
         row = (a, closed, numeric, abs(numeric - closed))
         lines.append(",".join(_g(x) for x in row))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     _write_discrepancies(args.out)
     return 0
 
@@ -264,7 +273,7 @@ def _cmd_spectrum(args) -> int:
         evs = mode_eigenvalues(op, count=2)
         lines.append(",".join([str(k), _g(op.lambda_k),
                                _g(evs[0].mu), _g(evs[1].mu)]))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -300,7 +309,7 @@ def _cmd_energy(args) -> int:
                  ",".join([str(params.N), _g(params.a), _g(params.b),
                            _g(rep.grad_sq), _g(rep.lp), _g(rep.hardy_lhs),
                            _g(rep.quotient)])]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     elif fmt == "json":
         lhs, rhs = hardy_check(profile)
         lp1, lp2 = verify_dual_energy(profile)
@@ -314,7 +323,7 @@ def _cmd_energy(args) -> int:
             "dual_lp_pair": [lp1, lp2],
         })
         text = json.dumps(out, sort_keys=True) + "\n"
-        _emit(text, args.out)
+        _emit([text], args.out)
     else:
         raise _UsageError(f"energy supports csv or json, not {fmt}")
     return 0
@@ -351,7 +360,37 @@ def _curve_runs(fn, a_lo, a_hi, n, b_min, b_max):
     return runs
 
 
-def _svg_regionmap(N, a_nodes, b_nodes, labels) -> str:
+def _map_columns(N, a_nodes, b_nodes):
+    """Yield the labels of each a-column as indices into _REGION_COLORS.
+
+    The grid is classified by ``region_keys`` in blocks of _MAP_BLOCK
+    columns.  The first node of a key not seen before is named by one
+    ``region_label`` call, and every node with that key gets its label.
+    """
+    label_of_key = np.full(np.iinfo(np.int16).max + 1, -1, dtype=np.int8)
+    nb = len(b_nodes)
+    for i0 in range(0, len(a_nodes), _MAP_BLOCK):
+        keys = region_keys(N, a_nodes[i0:i0 + _MAP_BLOCK], b_nodes)
+        flat = keys.ravel()
+        for key in np.flatnonzero(np.bincount(flat)):
+            if label_of_key[key] < 0:
+                i, j = divmod(int(np.argmax(flat == key)), nb)
+                label = region_label(N, a_nodes[i0 + i], b_nodes[j])
+                label_of_key[key] = _REGION_NAMES.index(label.variant.value)
+        yield from label_of_key[keys]
+
+
+def _csv_regionmap(a_nodes, b_nodes, columns):
+    names = np.array(_REGION_NAMES, dtype=object)
+    gb = [_g(b) + "," for b in b_nodes]
+    yield "a,b,label\n"
+    for a, column in zip(a_nodes, columns):
+        prefix = _g(a) + ","
+        yield (prefix + ("\n" + prefix).join(map(operator.add, gb,
+                                                  names[column])) + "\n")
+
+
+def _svg_regionmap(N, a_nodes, b_nodes, columns):
     W = H = 640.0
     LEG = 210.0
     na, nb = len(a_nodes), len(b_nodes)
@@ -365,28 +404,26 @@ def _svg_regionmap(N, a_nodes, b_nodes, labels) -> str:
     def y_of(b):
         return H - (b - b0) / (b1 - b0) * H if b1 > b0 else H
 
-    colors = dict(_REGION_COLORS)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{W + LEG:.0f}" height="{H:.0f}" '
-        f'viewBox="0 0 {W + LEG:.0f} {H:.0f}">',
-        f'<rect x="0" y="0" width="{W + LEG:.0f}" height="{H:.0f}" '
-        f'fill="#ffffff"/>',
-    ]
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" '
+           f'width="{W + LEG:.0f}" height="{H:.0f}" '
+           f'viewBox="0 0 {W + LEG:.0f} {H:.0f}">\n'
+           f'<rect x="0" y="0" width="{W + LEG:.0f}" height="{H:.0f}" '
+           f'fill="#ffffff"/>\n')
     # cells, run-length merged along b within each a-column
-    for i in range(na):
+    for i, column in enumerate(columns):
         x = i * cw
+        ends = np.flatnonzero(np.diff(column)).tolist() + [nb - 1]
         j = 0
-        while j < nb:
-            j2 = j
-            while j2 + 1 < nb and labels[i][j2 + 1] == labels[i][j]:
-                j2 += 1
+        rects = []
+        for j2 in ends:
             y = H - (j2 + 1) * ch
-            parts.append(
+            rects.append(
                 f'<rect x="{x:.3f}" y="{y:.3f}" width="{cw + 0.35:.3f}" '
                 f'height="{(j2 - j + 1) * ch + 0.35:.3f}" '
-                f'fill="{colors[labels[i][j]]}"/>')
+                f'fill="{_REGION_COLORS[column[j]][1]}"/>\n')
             j = j2 + 1
+        yield "".join(rects)
+    parts = []
     # overlay curves
     curves = [
         ("b = a", "#000000", "", lambda a: a, a0, a1),
@@ -434,7 +471,7 @@ def _svg_regionmap(N, a_nodes, b_nodes, labels) -> str:
     parts.append(f'<text x="{W - 120:.0f}" y="{H - 4:.0f}" font-size="11" '
                  f'font-family="monospace">({_g(a1)}, {_g(b0)})</text>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield "\n".join(parts) + "\n"
 
 
 def _cmd_regionmap(args) -> int:
@@ -452,20 +489,15 @@ def _cmd_regionmap(args) -> int:
                           "b_min <= b_max")
     a_nodes = _nodes(a_min, a_max, na)
     b_nodes = _nodes(b_min, b_max, nb)
-    labels = [[region_label(N, a, b).variant.value for b in b_nodes]
-              for a in a_nodes]
-
+    columns = _map_columns(N, a_nodes, b_nodes)
     fmt = args.format or "csv"
     if fmt == "csv":
-        lines = ["a,b,label"]
-        for i, a in enumerate(a_nodes):
-            for j, b in enumerate(b_nodes):
-                lines.append(f"{_g(a)},{_g(b)},{labels[i][j]}")
-        _emit("\n".join(lines) + "\n", args.out)
+        chunks = _csv_regionmap(a_nodes, b_nodes, columns)
     elif fmt == "svg":
-        _emit(_svg_regionmap(N, a_nodes, b_nodes, labels), args.out)
+        chunks = _svg_regionmap(N, a_nodes, b_nodes, columns)
     else:
         raise _UsageError(f"regionmap supports csv or svg, not {fmt}")
+    _emit(chunks, args.out)
     return 0
 
 

@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from .errors import InadmissibleB, InvalidDimension, OutOfDomain
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "del_direct_bound",
     "classify_region",
     "region_label",
+    "region_keys",
     "dualize_params",
 ]
 
@@ -208,6 +211,8 @@ def classify_region(params: CknParams) -> RegionLabel:
     below a_c the Hardy endpoint b = a+1, then the boundary b = a
     (distinct behavior only for a < 0), then the radial/symmetry-breaking
     split at the threshold curve (closed on the radial side).
+    :func:`region_keys` packs the predicates read here and in
+    :func:`make_params` for the region map.
     """
     a, b, a_c = params.a, params.b, params.a_c
     if a > a_c:
@@ -235,6 +240,42 @@ def region_label(N: int, a: float, b: float) -> RegionLabel:
     except (InvalidDimension, InadmissibleB):
         return RegionLabel(Region.INVALID)
     return classify_region(params)
+
+
+def region_keys(N: int, a, b):
+    """Integer key per node of the grid ``a`` x ``b`` (1-D float arrays):
+    nodes with equal keys get equal :func:`region_label`.
+
+    Bit k of key[i, j] is the k-th predicate that :func:`make_params` and
+    :func:`classify_region` read at (N, a[i], b[j]), computed with the
+    same floating-point operations; keep the three in step.  The label
+    names and their precedence stay in :func:`classify_region`.
+    """
+    a = np.asarray(a, dtype=np.float64)[:, None]
+    b = np.asarray(b, dtype=np.float64)[None, :]
+    a_c = (N - 2) / 2.0
+    s = b - a
+    d = a_c - a
+    # out-of-domain values (N < 2, s = 0 at N = 2) only feed the bits of
+    # points that are already Invalid
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p = 2.0 * N / (N - 2 + 2.0 * s)
+        fs = N * d / (2.0 * np.sqrt(d * d + N - 1)) + a - a_c
+    bits = (
+        ((0.0 < s) if N == 2 else (0.0 <= s)) & (s <= 1.0),
+        (np.abs(a) < _AB_LIMIT) & (np.abs(b) < _AB_LIMIT),
+        np.isfinite(p),
+        b == a,
+        b == a + 1,
+        b >= fs,
+        a > a_c,
+        a == a_c,
+        a < 0,
+    )
+    key = np.zeros(s.shape, dtype=np.int16)
+    for k, bit in enumerate(bits):
+        key |= bit.astype(np.int16) << k
+    return key
 
 
 def dualize_params(params: CknParams) -> CknParams:

@@ -250,6 +250,12 @@ def shoot_homoclinic(params: CknParams, t_max: float, tol: float,
         raise DegenerateParams("shooting needs p > 2 (b < a+1)", p=params.p)
     if params.lam <= 0.0:
         raise DegenerateParams("shooting needs lam > 0 (a < a_c)", lam=params.lam)
+    if not params.p * params.lam * params.lam / 2.0 > 0.0:
+        # the same point extremal_form calls degenerate; the bracket
+        # [w_eq, 2 w_eq] would not classify
+        raise DegenerateParams(
+            "p lam^2 / 2 underflows double precision as lam -> 0",
+            a=params.a, b=params.b, p=params.p, lam=params.lam)
     if not (t_max > 0 and dt > 0 and 0 < tol < 1):
         raise InvalidStep("need t_max > 0, dt > 0, 0 < tol < 1",
                           t_max=t_max, dt=dt, tol=tol)

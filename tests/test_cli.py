@@ -14,8 +14,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 import xml.dom.minidom
 
 import numpy as np
@@ -232,6 +234,91 @@ def test_regionmap_matches_the_scalar_classifier(N, k, a_eighths, b_eighths,
         assert label == region_label(N, float(a), float(b)).variant.value
 
 
+_CELL = re.compile(r'<rect x="([0-9.]+)" y="([0-9.]+)" width="[0-9.]+" '
+                   r'height="([0-9.]+)" fill="(#[0-9a-f]{6})"/>')
+_LEGEND = re.compile(r'<rect x="[0-9]+" y="[0-9]+" width="13" height="13" '
+                     r'fill="(#[0-9a-f]{6})" .*\n<text [^>]*>(\w+)</text>')
+
+
+def _svg_label_grid(text, na, nb):
+    """Decode the run-length merged cell rects into an na x nb label grid;
+    every node must be covered by exactly one rect."""
+    label_of = dict(_LEGEND.findall(text))
+    cw, ch = 640.0 / na, 640.0 / nb
+    grid = [[None] * nb for _ in range(na)]
+    for line in text.splitlines()[2:]:
+        cell = _CELL.fullmatch(line)
+        if cell is None:
+            break
+        x, y, h = (float(v) for v in cell.groups()[:3])
+        i = round(x / cw)
+        j2 = round((640.0 - y) / ch) - 1
+        j = j2 - round((h - 0.35) / ch) + 1
+        assert 0 <= i < na and 0 <= j <= j2 < nb, line
+        for jj in range(j, j2 + 1):
+            assert grid[i][jj] is None, f"overlapping cell {line}"
+            grid[i][jj] = label_of[cell.group(4)]
+    assert all(None not in column for column in grid), "uncovered cells"
+    return grid
+
+
+_EDGE_WINDOWS = {
+    # the 2^52 edge of make_params, on both signs
+    "above-2^52": (3, 2.0 ** 52 - 64, 2.0 ** 52 + 64,
+                   2.0 ** 52 - 64, 2.0 ** 52 + 64, 33, 33),
+    "below-minus-2^52": (3, -2.0 ** 52 - 64, -2.0 ** 52 + 64,
+                         -2.0 ** 52 - 64, -2.0 ** 52 + 64, 33, 33),
+    # b - a of a few 1e-309: p = 2/(b-a) overflows at N = 2
+    "N2-p-overflow": (2, -1e-307, 1e-307, -1e-307, 1e-307, 41, 41),
+    "N1": (1, -3.0, 2.0, -3.0, 3.0, 12, 12),
+    "N0": (0, -3.0, 2.0, -3.0, 3.0, 12, 12),
+    "N-3": (-3, -3.0, 2.0, -3.0, 3.0, 12, 12),
+    "N100": (100, 40.0, 60.0, 40.0, 61.0, 41, 43),
+    "a-near-minus-1e15": (3, -1e15 - 4, -1e15 + 4, -1e15 - 4, -1e15 + 4,
+                          33, 33),
+    "a-near-1e15": (4, 1e15 - 4, 1e15 + 4, 1e15 - 4, 1e15 + 4, 33, 33),
+    "criterion-10": (3, -3.0, 3.21875, -3.0, 3.21875, 200, 200),
+}
+
+
+@pytest.mark.parametrize("window", _EDGE_WINDOWS.values(),
+                         ids=_EDGE_WINDOWS.keys())
+def test_regionmap_edge_windows_match_the_scalar_classifier(window):
+    N, a_min, a_max, b_min, b_max, na, nb = window
+    argv = ["regionmap", "--N", str(N),
+            f"--a-min={a_min!r}", f"--a-max={a_max!r}",
+            f"--b-min={b_min!r}", f"--b-max={b_max!r}",
+            "--na", str(na), "--nb", str(nb)]
+    texts = []
+    for fmt in ("csv", "svg"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--format", fmt]) == 0
+        texts.append(out.getvalue())
+    rows = [line.split(",") for line in texts[0].splitlines()[1:]]
+    assert len(rows) == na * nb
+    for a, b, label in rows:
+        assert label == region_label(N, float(a), float(b)).variant.value
+    grid = _svg_label_grid(texts[1], na, nb)
+    assert [label for column in grid for label in column] == [
+        label for _, _, label in rows]
+
+
+def test_regionmap_streams_in_bounded_memory(tmp_path, capsys):
+    # a 400 x 400 map held 30 MiB or more as label and row lists; streamed
+    # per a-column it needs about a column of text and one key block
+    argv = ["regionmap", "--na", "400", "--nb", "400",
+            "--out", str(tmp_path / "map.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert (tmp_path / "map.csv").read_text().count("\n") == 1 + 400 * 400
+
+
 def test_regionmap_svg_is_valid_xml_with_legend(tmp_path, capsys):
     path = tmp_path / "map.svg"
     assert main(["regionmap", "--na", "40", "--nb", "40",
@@ -427,6 +514,10 @@ _INF_GRID = {"code": "resolution_too_large",
              "context": {"limit": 4194304, "n": "inf"},
              "message": "grid limited to 4194304 nodes, got inf"}
 
+_UNDERFLOW = {"code": "degenerate_params",
+              "context": {"a": -1e-300, "b": 0.5, "lam": 1e-300, "p": 4.0},
+              "message": "p lam^2 / 2 underflows double precision as lam -> 0"}
+
 _PINNED_ERRORS = [
     # 2T/dt past the float range counts as infinitely many nodes
     (["extremal", "--N", "3", "--a", "0", "--b", "0", "--T", "1e300",
@@ -440,10 +531,8 @@ _PINNED_ERRORS = [
     (["fs-curve", "--N", "3", "--a-min=-1", "--a-max=-1", "--steps", "1",
       "--T", "1e300", "--dt", "1e-10"], _INF_GRID),
     # at N = 2, p lam^2 / 2 underflows to 0 for 0 < |a| below about 1e-162
-    (["extremal", "--N", "2", "--a=-1e-300", "--b=0.5"],
-     {"code": "degenerate_params",
-      "context": {"a": -1e-300, "b": 0.5, "lam": 1e-300, "p": 4.0},
-      "message": "p lam^2 / 2 underflows double precision as lam -> 0"}),
+    (["extremal", "--N", "2", "--a=-1e-300", "--b=0.5"], _UNDERFLOW),
+    (["shoot", "--N", "2", "--a=-1e-300", "--b=0.5"], _UNDERFLOW),
     # the a-list of fs-curve gets the region map's per-axis limit
     (["fs-curve", "--N", "3", "--a-min=-1", "--a-max=-0.5", "--steps",
       "2001"],
