@@ -16,6 +16,7 @@ variant with freshly computed example values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import operator
@@ -93,10 +94,20 @@ def _g(x) -> str:
     return format(float(x), ".17g")
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report an OSError raised while ``path`` is opened or written as a
+    usage error, the way ``dualize --in`` reports a file it cannot read."""
+    try:
+        yield
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(chunks: Iterable[str], path: Optional[str]) -> None:
     """Write the text chunks in turn to ``path``, or to stdout."""
     if path:
-        with open(path, "w", newline="") as fh:
+        with _writing(path), open(path, "w", newline="") as fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
@@ -160,7 +171,7 @@ def _write_discrepancies(output_path: Optional[str]) -> None:
         },
     }
     target = os.path.join(directory, "discrepancies.json")
-    with open(target, "w", newline="") as fh:
+    with _writing(target), open(target, "w", newline="") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -203,7 +214,8 @@ def _cmd_extremal(args) -> int:
         "residual_printed_variant": residual_autonomous(variant),
     })
     if args.out:
-        write_profile_csv(profile, args.out)
+        with _writing(args.out):
+            write_profile_csv(profile, args.out)
         out["profile_csv"] = args.out
     _write_discrepancies(args.out)
     _print_json(out)
@@ -225,7 +237,8 @@ def _cmd_shoot(args) -> int:
         "tol": args.tol,
     })
     if args.out:
-        write_profile_csv(profile, args.out)
+        with _writing(args.out):
+            write_profile_csv(profile, args.out)
         out["profile_csv"] = args.out
     _print_json(out)
     return 0
@@ -265,14 +278,21 @@ def _cmd_spectrum(args) -> int:
     dx, kmax = args.dt, args.kmax
     if kmax < 0:
         raise _UsageError(f"--kmax must be >= 0, got {kmax}")
+    if kmax > MAX_MAP_NODES:
+        raise ResolutionTooLarge(
+            f"spectrum table limited to {MAX_MAP_NODES} modes",
+            kmax=kmax, limit=MAX_MAP_NODES)
     n = window_nodes(T, dx)
     profile = sample_extremal(form, -T, dx, n)
+    # V_k = V_0 + lambda_k exactly: every mode has the eigenvectors of
+    # mode 0 and its eigenvalues shifted by lambda_k
+    mu1, mu2 = (ev.mu for ev in
+                mode_eigenvalues(build_mode_operator(profile, 0), count=2))
     lines = ["k,lambda_k,mu1,mu2"]
     for k in range(kmax + 1):
-        op = build_mode_operator(profile, k)
-        evs = mode_eigenvalues(op, count=2)
-        lines.append(",".join([str(k), _g(op.lambda_k),
-                               _g(evs[0].mu), _g(evs[1].mu)]))
+        lambda_k = float(k * (k + params.N - 2))
+        lines.append(",".join([str(k), _g(lambda_k), _g(mu1 + lambda_k),
+                               _g(mu2 + lambda_k)]))
     _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
@@ -289,7 +309,8 @@ def _cmd_dualize(args) -> int:
         except OSError as exc:
             raise _UsageError(
                 f"cannot read --in {args.in_path}: {exc.strerror}") from exc
-        write_profile_csv(dualize_profile(profile), args.out)
+        with _writing(args.out):
+            write_profile_csv(dualize_profile(profile), args.out)
         out["profile_csv"] = args.out
     _print_json(out)
     return 0
@@ -559,6 +580,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built once per process: a parse reads the tree and leaves it unchanged
+_PARSER = _build_parser()
+
+
 def _check_args(args) -> None:
     if args.command is None:
         raise _UsageError("a command is required: " +
@@ -584,7 +609,7 @@ def _check_args(args) -> None:
 def main(argv=None) -> int:
     """Run one command; returns the process exit code."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         _check_args(args)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:

@@ -265,10 +265,17 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
     The bracket endpoints are guarded: near b = a the potential well can
     become narrower than the grid resolves (binding for N = 2, where
     p -> infinity), and near b = a+1 the extremal amplitude overflows
-    (p -> 2); both guards stay far from the threshold for every admissible
-    point.  Raises NoSignChange with the endpoint eigenvalues when the
+    (p -> 2).  Raises NoSignChange with the endpoint eigenvalues when the
     guarded endpoints do not straddle a sign change, which is what the
     rejected sign convention of the closed-form curve would produce.
+
+    The upper guard does not stay clear of the threshold at large |a|:
+    there it falls below the threshold, both endpoint eigenvalues are
+    negative, and the search fails with NoSignChange.  On a 0.25 grid in
+    a that happens for a <= -10.75 at N = 2, -13.75 at N = 3, -16 at
+    N = 4, -17.75 at N = 5 and -19.25 at N = 6 (at N = 2, a = -11 the
+    upper endpoint has mu = -0.109).  ROADMAP.md's item on building the
+    k=1 potential from the log-domain form removes the amplitude cap.
 
     Only the two endpoints are eigensolved.  Each bisection step reads the
     sign alone, from an O(n) LDL^T inertia test of the same matrix

@@ -27,9 +27,12 @@ from hypothesis import strategies as st
 
 import ckn_lab
 from ckn_lab import acceptance
-from ckn_lab import (b_fs, extremal_form, make_params, read_profile_csv,
-                     region_label)
+from ckn_lab import cli
+from ckn_lab import (asymptote_window, b_fs, build_mode_operator,
+                     extremal_form, make_params, mode_eigenvalues,
+                     read_profile_csv, region_label, sample_extremal)
 from ckn_lab.cli import main
+from ckn_lab.profiles import window_nodes
 
 
 def _run_json(capsys, argv):
@@ -154,23 +157,50 @@ def test_energy_explicit_truncation_reaches_the_tail_gate(capsys):
     assert err["code"] == "tail_not_decayed"
 
 
-def test_spectrum_table_shift_identity_and_zero_mode(capsys):
-    code = main(["spectrum", "--N", "3", "--a", "-1", "--b", "-0.5",
-                 "--kmax", "2"])
+@pytest.mark.parametrize("N, a, b", [
+    (2, -1.0, -0.5), (3, -1.0, -0.5), (4, -0.5, 0.0), (5, 0.0, 0.6),
+    (6, -1.0, -0.3),
+    (3, 1.0, 1.5),  # a > a_c
+], ids=["N2", "N3", "N4", "N5", "N6", "N3-a-above-a_c"])
+def test_spectrum_table_shift_identity_and_zero_mode(capsys, monkeypatch,
+                                                     N, a, b):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_mode_operator", "mode_eigenvalues"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    code = main(["spectrum", "--N", str(N), f"--a={a}", f"--b={b}",
+                 "--kmax", "3"])
     captured = capsys.readouterr()
     assert code == 0
+    # one operator and one eigensolve, whatever --kmax
+    assert sorted(calls) == ["build_mode_operator", "mode_eigenvalues"]
     lines = captured.out.strip().splitlines()
     assert lines[0] == "k,lambda_k,mu1,mu2"
     rows = [line.split(",") for line in lines[1:]]
-    assert [r[0] for r in rows] == ["0", "1", "2"]
+    assert [r[0] for r in rows] == ["0", "1", "2", "3"]
     lam_k = [float(r[1]) for r in rows]
     mu1 = [float(r[2]) for r in rows]
     mu2 = [float(r[3]) for r in rows]
-    assert lam_k == [0.0, 2.0, 6.0]
+    assert lam_k == [float(k * (k + N - 2)) for k in range(4)]
     assert mu1[0] < 0.0
     assert abs(mu2[0]) < 1e-4  # translation zero mode
-    for k in (1, 2):
+    for k in (1, 2, 3):
         assert np.isclose(mu1[k] - mu1[0], lam_k[k], atol=1e-10)
+    # each shifted row against a direct solve of mode k on the same profile
+    params = make_params(N, a, b)
+    T = asymptote_window(params)
+    profile = sample_extremal(extremal_form(params), -T, 0.01,
+                              window_nodes(T, 0.01))
+    for k in (1, 2, 3):
+        direct = mode_eigenvalues(build_mode_operator(profile, k), 2)
+        assert abs(mu1[k] - direct[0].mu) <= 1e-10
+        assert abs(mu2[k] - direct[1].mu) <= 1e-10
 
 
 def test_fs_curve_rows_and_determinism(capsys, tmp_path, monkeypatch):
@@ -544,6 +574,16 @@ _PINNED_ERRORS = [
      {"code": "resolution_too_large",
       "context": {"limit": 2000, "steps": 1000000000000},
       "message": "threshold curve limited to 2000 nodes"}),
+    # the spectrum table gets the same limit on its rows, checked before
+    # the profile is sampled
+    (["spectrum", "--N", "3", "--a=-1", "--b=-0.5", "--kmax", "2001"],
+     {"code": "resolution_too_large",
+      "context": {"kmax": 2001, "limit": 2000},
+      "message": "spectrum table limited to 2000 modes"}),
+    (["spectrum", "--N", "3", "--a=-1", "--b=-0.5", "--kmax", "1000000000"],
+     {"code": "resolution_too_large",
+      "context": {"kmax": 1000000000, "limit": 2000},
+      "message": "spectrum table limited to 2000 modes"}),
 ]
 
 
@@ -556,6 +596,71 @@ def test_typed_errors_print_one_pinned_line(capsys, tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == json.dumps(payload, sort_keys=True) + "\n"
+
+
+_UNWRITABLE_OUT = [
+    # classify writes only discrepancies.json, beside --out
+    (["classify", "--N", "3", "--a=-1", "--b=-0.8"], "discrepancies.json"),
+    (["extremal", "--N", "3", "--a=-1", "--b=-0.2"], "x"),
+    (["spectrum", "--N", "3", "--a=-1", "--b=-0.5", "--kmax", "1"], "x"),
+    (["regionmap", "--na", "8", "--nb", "8"], "x"),
+    (["shoot", "--N", "3", "--a=-4.3", "--b=-4", "--T", "10"], "x"),
+    (["fs-curve", "--N", "3", "--a-min=-1", "--a-max=-1", "--steps", "1"],
+     "x"),
+    (["energy", "--N", "3", "--a", "0", "--b", "0"], "x"),
+    (["dualize", "--N", "3", "--a", "0", "--b", "0", "--in", "p.csv"], "x"),
+]
+
+
+@pytest.mark.parametrize("argv, target", _UNWRITABLE_OUT,
+                         ids=[argv[0] for argv, _ in _UNWRITABLE_OUT])
+def test_unwritable_out_prints_one_usage_error(capsys, tmp_path, monkeypatch,
+                                               argv, target):
+    monkeypatch.chdir(tmp_path)
+    if "--in" in argv:
+        assert main(["extremal", "--N", "3", "--a", "0", "--b", "0",
+                     "--out", "p.csv"]) == 0
+        capsys.readouterr()
+    missing = tmp_path / "missing"
+    assert main(argv + ["--out", str(missing / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps(
+        {"code": "usage_error",
+         "message": f"cannot write {missing / target}: "
+                    "No such file or directory"}, sort_keys=True) + "\n"
+    assert not missing.exists()
+
+
+_PARSE_SEQUENCE = [
+    [],
+    ["classify", "--N", "3", "--a", "nope"],
+    ["regionmap", "--na", "8", "--nb", "8"],
+    ["regionmap"],
+    ["spectrum", "--kmax", "2", "--bogus"],
+    ["energy", "--N", "3", "--a", "0", "--b", "0", "--format", "xml"],
+    ["fs-curve", "--N", "3", "--a-min=-1", "--a-max=-0.5", "--steps", "2"],
+    ["fs-curve", "--N", "3", "--a-min=-1", "--a-max=-0.5"],
+    ["regionmap"],
+]
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys, monkeypatch):
+    def parse(parser, argv):
+        try:
+            return vars(parser.parse_args(argv))
+        except cli._UsageError as exc:
+            return str(exc)
+
+    shared = [parse(cli._PARSER, argv) for argv in _PARSE_SEQUENCE]
+    assert shared == [parse(cli._build_parser(), argv)
+                      for argv in _PARSE_SEQUENCE]
+    # main parses with the parser built at import, never a new one
+    monkeypatch.setattr(cli, "_build_parser", None)
+    assert main(["regionmap", "--na", "8", "--nb", "8"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 8 * 8
+    assert main(["regionmap"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 200 * 200
 
 
 @pytest.mark.parametrize("argv, context", [
