@@ -30,7 +30,8 @@ from ckn_lab import acceptance
 from ckn_lab import cli
 from ckn_lab import (asymptote_window, b_fs, build_mode_operator,
                      extremal_form, make_params, mode_eigenvalues,
-                     read_profile_csv, region_label, sample_extremal)
+                     read_profile_csv, region_label, sample_extremal,
+                     tail_window)
 from ckn_lab.cli import main
 from ckn_lab.profiles import window_nodes
 
@@ -682,28 +683,47 @@ def test_shoot_without_an_output_step_prints_one_pinned_line(capsys, argv,
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
-    # e^{-lam t} overflows on the left tail of the r-space quadrature
+    # e^{-lam t} alone overflows on the left tail of the r-space quadrature,
+    # and t-space Simpson missed grad_sq = lp by 1.3e-6 here
     ["energy", "--N", "3", "--a=-40", "--b=-39.5", "--format", "json"],
-    # r^{N-1-bp} overflows on the right tail
+    # r^{N-1-bp} alone overflows on the right tail
     ["energy", "--N", "2", "--a=-2.55", "--b=-2.35", "--format", "json"],
+    # the first point of N = 3, b - a = 1/2 where r^{N-1-bp} overflowed
+    ["energy", "--N", "3", "--a=-6", "--b=-5.5", "--format", "json"],
 ], ids=lambda argv: " ".join(argv))
 def test_energy_defect_points_print_one_json_line_and_no_warning(capsys,
                                                                  argv):
-    assert main(argv) == 2
+    # the r-space integrand is evaluated in the log domain, so these
+    # points answer instead of failing with not_converged
+    assert main(argv) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
     assert len(lines) == 1
-    assert _strict_json(lines[0])["code"] == "not_converged"
+    out = _strict_json(lines[0])
+    lp1, lp2 = out["dual_lp_pair"]
+    assert abs(lp1 - lp2) <= 1e-6 * lp1
+    assert abs(out["grad_sq"] - out["lp"]) <= 1e-8 * out["lp"]
 
 
 def test_energy_overflow_is_a_typed_error(capsys):
-    # r^{N-1-bp} leaves the float range inside the r-space quadrature
-    err = _run_error(capsys, ["energy", "--N", "2", "--a=-2.55",
-                              "--b=-2.35", "--format", "json"])
+    # near p = 2 the t-space integrals leave the float range: still a
+    # typed error, with the point in its context
+    err = _run_error(capsys, ["energy", "--N", "3", "--a=-2",
+                              "--b=-1.003", "--format", "json"])
     assert err["code"] == "not_converged"
+    assert err["message"] == "weighted integrals overflowed the float range"
     assert (err["context"]["N"], err["context"]["a"],
-            err["context"]["b"]) == (2, -2.55, -2.35)
+            err["context"]["b"]) == (3, -2.0, -1.003)
+    # where only the r-space weight r^{N-1-bp} overflows on its own, the
+    # log-domain integrand answers
+    params = make_params(2, -2.55, -2.35)
+    t_end = tail_window(extremal_form(params))
+    with pytest.raises(OverflowError):
+        math.exp((params.N - 1.0 - params.b * params.p) * t_end)
+    out = _run_json(capsys, ["energy", "--N", "2", "--a=-2.55",
+                             "--b=-2.35", "--format", "json"])
+    assert all(math.isfinite(v) for v in out["dual_lp_pair"])
 
 
 def test_regionmap_ignores_ckn_lab_threads(capsys, monkeypatch):

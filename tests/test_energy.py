@@ -5,6 +5,10 @@ Frozen closed-form oracles at (3,0,0), with A = (3/4)^{1/4}:
     lp = grad_sq = omega_3 A^6 integral sech^3 = 3 sqrt(3) pi^2 / 4
     hardy_lhs    = omega_3 A^2 integral sech   = 2 sqrt(3) pi^2
     quotient     = lp^{1 - 2/p}                = 5.477904089531332
+
+At every other point the Beta-function closed forms of ``beta_oracle``
+check each integral on its own, so that an error shared by both sides of
+``grad_sq = lp`` or of the dual pair cannot pass unseen.
 """
 
 import math
@@ -44,6 +48,67 @@ def decayed_extremal(N, a, b, min_T=40.0):
     T = tail_window(form, min_T)
     n = int(round(2 * T / 0.01)) + 1
     return sample_extremal(form, -T, 0.01, n)
+
+
+def beta_oracle(N, a, b):
+    """(lp, hardy_lhs) of the extremal at (N, a, b) in closed form.
+
+    Written from the parameter formulas alone, without the package
+    (Catrina & Wang, CPAM 54 (2001)): w* = A sech^beta(gamma t) with
+    A^{p-2} = p lam^2/2, beta = 2/(p-2), gamma = lam (p-2)/2, and
+    integral sech^m(x) dx = B(m/2, 1/2) over the line give
+
+        lp    = omega_N A^p B(p/(p-2), 1/2) / |gamma|,
+        hardy = omega_N A^2 B(beta, 1/2)    / |gamma|.
+    """
+    lam = (N - 2.0) / 2.0 - a
+    p = 2.0 * N / (N - 2.0 + 2.0 * (b - a))
+    gamma = abs(lam) * (p - 2.0) / 2.0
+    log_amp = math.log(p * lam * lam / 2.0) / (p - 2.0)
+    log_omega = (math.log(2.0) + N / 2.0 * math.log(math.pi)
+                 - math.lgamma(N / 2.0))
+
+    def log_beta_half(x):  # ln B(x, 1/2)
+        return math.lgamma(x) + math.lgamma(0.5) - math.lgamma(x + 0.5)
+
+    lp = math.exp(log_omega + p * log_amp + log_beta_half(p / (p - 2.0)))
+    hardy = math.exp(log_omega + 2.0 * log_amp
+                     + log_beta_half(2.0 / (p - 2.0)))
+    return lp / gamma, hardy / gamma
+
+
+BETA_ORACLE_POINTS = [
+    (2, -0.5, 0.0), (3, 0.0, 0.0), (3, -1.0, -0.2), (4, -0.5, 0.0),
+    (5, 0.0, 0.6), (6, -1.0, -0.3),
+    # points whose r-space weight or e^{-lam t} leaves the float range
+    (3, -40.0, -39.5), (2, -2.55, -2.35), (3, -6.0, -5.5),
+    # a > a_c: lam < 0
+    (2, 0.5, 0.8), (3, 1.0, 1.5), (4, 2.0, 2.25), (5, 3.0, 3.1),
+    (6, 2.5, 2.5),
+]
+
+
+def _assert_matches_beta_oracle(N, a, b):
+    lp, hardy = beta_oracle(N, a, b)
+    prof = decayed_extremal(N, a, b)
+    rep = energy_report(prof)
+    lp1, lp2 = verify_dual_energy(prof)
+    for got in (rep.lp, rep.grad_sq, lp1, lp2):
+        assert abs(got - lp) <= 1e-12 * lp, (N, a, b, got, lp)
+    assert abs(rep.hardy_lhs - hardy) <= 1e-12 * hardy, (N, a, b)
+
+
+@pytest.mark.parametrize("N,a,b", BETA_ORACLE_POINTS)
+def test_integrals_match_beta_oracle(N, a, b):
+    _assert_matches_beta_oracle(N, a, b)
+
+
+def test_beta_oracle_scan_along_a_with_fixed_b_minus_a():
+    # N = 3, b - a = 1/2 (p = 3): the r-space check used to overflow from
+    # a = -6 down, and t-space Simpson missed grad_sq = lp by 1.3e-6 at
+    # a = -40
+    for a in np.arange(-40.0, 0.25, 0.5):
+        _assert_matches_beta_oracle(3, float(a), float(a) + 0.5)
 
 
 def test_surface_measure_values():
