@@ -515,6 +515,10 @@ _HUGE_PARAMETERS = [
      "no_convergence"),
     (["shoot", "--N", "2", "--a=-5", "--b=-4.9999", "--T", "1"], 2,
      "no_convergence"),
+    # near p = 2, w_eq = lam^{2/(p-2)} leaves the float range
+    (["shoot", "--N", "3", "--a=-1", "--b=-0.0001"], 2, "degenerate_params"),
+    (["shoot", "--N", "2", "--a=-3", "--b=-2.0001", "--T", "2"], 2,
+     "degenerate_params"),
     # an orbit rate of 1.1e6 needs more substeps than the node budget
     (["shoot", "--N", "3", "--a=-1e6", "--b=-999999.8"], 2,
      "resolution_too_large"),

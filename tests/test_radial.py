@@ -9,8 +9,10 @@ from ckn_lab import (
     BlowUp,
     Conclusion,
     DegenerateParams,
+    InadmissibleB,
     InvalidStep,
     LogGridProfile,
+    NoConvergence,
     ResolutionTooLarge,
     TooShort,
     WrongRegime,
@@ -76,7 +78,7 @@ def test_classify_and_store_kernels_take_the_same_steps(scale, event):
     lam2, pm1 = params.lam ** 2, params.p - 1.0
     w0 = scale * params.lam ** (2.0 / (params.p - 2.0))
     h, n = 1e-3, 40000
-    ev, t_event = _rk4_classify(w0, 0.0, h, n, lam2, pm1)
+    ev, t_event, w, v = _rk4_classify(w0, 0.0, h, n, lam2, pm1)
     assert ev == event
     out_w, out_v = np.empty(n + 1), np.empty(n + 1)
     assert _rk4_store(w0, 0.0, h, n, lam2, pm1, out_w, out_v) == n
@@ -84,6 +86,8 @@ def test_classify_and_store_kernels_take_the_same_steps(scale, event):
     hit = (out_w[1:] <= 0.0) if event == 1 else (out_v[1:] >= 0.0)
     first = int(np.argmax(hit)) + 1
     assert hit.any() and t_event == first * h
+    # the returned state is that step's state, bit for bit
+    assert (w, v) == (out_w[first], out_v[first])
     # and no step before it meets either event's condition
     assert np.all(out_w[1:first] > 0.0) and np.all(out_v[1:first] < 0.0)
 
@@ -154,6 +158,105 @@ def test_shoot_stores_the_run_only_as_far_as_the_tail_patch(N, a, b, T, dt):
     cut = _tail_cut(full, half[0])
     assert 1 <= cut < half.size
     assert np.array_equal(half[:cut + 1], full[:cut + 1])
+
+
+def _bisection_peak(params, dt):
+    """Reference search: plain bisection on the peak value over the same
+    bracket, steps (T = 40) and stop as shoot_homoclinic, moved by the
+    event alone.
+    Returns (peak, probes), with peak None where the bracket endpoints do
+    not classify."""
+    n_profile = int(round(40.0 / dt))
+    sub = _shoot_substeps(params, dt, n_profile)
+    args = (dt / sub, n_profile * sub, params.lam ** 2, params.p - 1.0)
+    lo = params.lam ** (2.0 / (params.p - 2.0))
+    hi = 2.0 * lo
+    probes = 2
+    if not (_rk4_classify(lo, 0.0, *args)[0] in (0, 2)
+            and _rk4_classify(hi, 0.0, *args)[0] == 1):
+        return None, probes
+    while hi - lo > 4e-16 * lo:
+        mid = 0.5 * (lo + hi)
+        ev = _rk4_classify(mid, 0.0, *args)[0]
+        probes += 1
+        assert ev in (0, 1, 2)
+        if ev == 1:
+            hi = mid
+        else:
+            lo = mid
+    return lo, probes
+
+
+def _count_probes(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _rk4_classify(*args)
+
+    monkeypatch.setattr("ckn_lab.radial._rk4_classify", counting)
+    return calls
+
+
+def _shot_peak(params, dt=0.01):
+    prof = shoot_homoclinic(params, t_max=40.0, tol=1e-6, dt=dt)
+    return float(prof.values[prof.n // 2])
+
+
+def _admissible_grid():
+    # N = 2..6, lam in {0.3, 1, 5, 20}, p - 2 in {0.1, 0.7, 2}: b - a
+    # gives the exponent p, and the 8 points with p = 4 above 2N/(N-2)
+    # (b < a) drop out
+    out = []
+    for N in range(2, 7):
+        for lam in (0.3, 1.0, 5.0, 20.0):
+            for p in (2.1, 2.7, 4.0):
+                a = (N - 2) / 2.0 - lam
+                s = N / p - N / 2.0 + 1.0
+                try:
+                    out.append(make_params(N, a, a + s))
+                except InadmissibleB:
+                    pass
+    return out
+
+
+def test_shoot_search_matches_bisection_within_its_probe_bound(monkeypatch):
+    # dt = 0.04 only coarsens the step of the slow orbits (lam <= 1, where
+    # sub = 2 binds), which run the longest; the search is the same.  The
+    # grid reaches both bounds: 55 probes against 53 at lam = 1, p = 2.1,
+    # and 2 ulps at lam = 0.3, p = 4
+    grid = _admissible_grid()
+    assert len(grid) == 52
+    calls = _count_probes(monkeypatch)
+    shot = 0
+    for params in grid:
+        ref, ref_probes = _bisection_peak(params, dt=0.04)
+        calls.clear()
+        if ref is None:  # p = 2.1, lam >= 5: w_eq past the blow-up limit
+            with pytest.raises(NoConvergence):
+                shoot_homoclinic(params, t_max=40.0, tol=1e-6, dt=0.04)
+            continue
+        peak = _shot_peak(params, dt=0.04)
+        shot += 1
+        assert abs(peak - ref) <= 2.0 * math.ulp(ref), (params, peak, ref)
+        assert len(calls) <= ref_probes + 2, (params, len(calls), ref_probes)
+    assert shot == 42
+
+
+def test_shoot_search_takes_few_probes_in_the_benchmark_band(monkeypatch):
+    # the band perfbench's shoot workload draws from: lam in [4.7, 5],
+    # p in [2.6, 2.85]; bisection takes 53 or 54 probes there
+    calls = _count_probes(monkeypatch)
+    counts = []
+    for i, N in enumerate((2, 3, 4, 5, 6, 2, 3, 4, 5, 6)):
+        lam = 4.7 + 0.3 * i / 9.0
+        p = 2.85 - 0.25 * ((3 * i) % 10) / 9.0
+        a = (N - 2) / 2.0 - lam
+        s = N / p - N / 2.0 + 1.0
+        calls.clear()
+        _shot_peak(make_params(N, a, a + s))
+        counts.append(len(calls))
+    assert np.mean(counts) <= 20.0, counts
 
 
 def test_shoot_profile_matches_closed_form_pointwise():
