@@ -44,8 +44,8 @@ from .errors import (
     WrongRegime,
 )
 from .params import CknParams, make_params
-from .profiles import (LogGridProfile, extremal_form, sample_extremal,
-                       window_nodes)
+from .profiles import (ExtremalForm, LogGridProfile, _log_sech,
+                       extremal_form, sample_extremal, window_nodes)
 from .radial import residual_autonomous
 
 __all__ = [
@@ -200,12 +200,16 @@ def mode_eigenvalues(op: ModeOperator, count: int = 2, *,
     return _solve(op, count, asymptote_tol)
 
 
-def _fs_mode_operator(params: CknParams, T: float, dx: float) -> ModeOperator:
-    # the k=1 operator on [-T, T], residual-gated by build_mode_operator
+def _k1_form(params: CknParams) -> ExtremalForm:
     if params.lam <= 0:
         raise WrongRegime("k=1 criterion applies below the critical weight",
                           a=params.a, a_c=params.a_c)
-    form = extremal_form(params)  # raises DegenerateParams at p <= 2
+    return extremal_form(params)  # raises DegenerateParams at p <= 2
+
+
+def _fs_mode_operator(params: CknParams, T: float, dx: float) -> ModeOperator:
+    # the k=1 operator on [-T, T], residual-gated by build_mode_operator
+    form = _k1_form(params)
     n = window_nodes(T, dx)
     prof = sample_extremal(form, -T, dx, n)
     return build_mode_operator(prof, 1)
@@ -239,6 +243,11 @@ def _positive_definite(op: ModeOperator) -> bool:
     pivots, so one O(n) factorization (LAPACK dpttrf, which stops at the
     first pivot d <= 0) reads the sign without an eigensolve.  NaN passes
     that pivot test, so a non-finite diagonal is refused first.
+
+    The operator may come from a sampled profile (build_mode_operator) or
+    from the amplitude-free k=1 potential of a bisection step
+    (:func:`_k1_step_operator`); the test reads only its potential and
+    grid.
     """
     # imported on first use: commands that never solve start without scipy
     from scipy.linalg.lapack import dpttrf
@@ -250,6 +259,40 @@ def _positive_definite(op: ModeOperator) -> bool:
                            N=p.N, a=p.a, b=p.b, k=op.k)
     info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2]
     return info == 0
+
+
+def _k1_step_operator(params: CknParams, T: float, dx: float) -> ModeOperator:
+    """The k=1 operator of one bisection step, built from the
+    amplitude-free potential.
+
+    w*^{p-2} = (p lam^2/2) sech^2(gamma t) needs neither the amplitude nor
+    a sample of w*, so V_1 = lam^2 + (N-1) - (p-1) w*^{p-2} is built from
+    one sech^2 array on the [-T, T] grid of :func:`_fs_mode_operator`.
+    The same array gates the form: the relative residual
+    w_tt/w - lam^2 + w^{p-2} = gamma^2 (beta^2 tanh^2 - beta sech^2)
+    - lam^2 + (p lam^2/2) sech^2 must stay below RESIDUAL_GATE times
+    lam^2 + p lam^2/2, the size of its terms.
+    """
+    form = _k1_form(params)
+    beta, gam = form.sech_power, form.rate
+    lam2 = params.lam ** 2
+    depth = params.p * params.lam * params.lam / 2.0  # max of w*^{p-2}
+    n = window_nodes(T, dx)
+    x = gam * (-T + dx * np.arange(n))
+    sech2 = np.exp(2.0 * _log_sech(x))
+    th = np.tanh(x)
+    res = float(np.max(np.abs(
+        gam * gam * (beta * beta * th * th - beta * sech2) - lam2 + depth * sech2)))
+    gate = RESIDUAL_GATE * (lam2 + depth)
+    if not res <= gate:
+        raise UnverifiedProfile(
+            f"k=1 potential residual {res:.3e} exceeds the gate {gate:.3e}",
+            residual=res, gate=gate,
+        )
+    lambda_k = float(params.N - 1)
+    V = lam2 + lambda_k - (params.p - 1.0) * (depth * sech2)
+    return ModeOperator(k=1, lambda_k=lambda_k, potential=V, grid=(-T, dx, n),
+                        params=params)
 
 
 def _pm2_to_gap(N: int, eps: float) -> float:
@@ -277,9 +320,12 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
     upper endpoint has mu = -0.109).  ROADMAP.md's item on building the
     k=1 potential from the log-domain form removes the amplitude cap.
 
-    Only the two endpoints are eigensolved.  Each bisection step reads the
-    sign alone, from an O(n) LDL^T inertia test of the same matrix
-    (:func:`_positive_definite`).
+    Only the two endpoints are eigensolved, on the operator of the sampled
+    extremal (:func:`fs_mode_eigenvalue`).  Each bisection step reads the
+    sign alone, from an O(n) LDL^T inertia test (:func:`_positive_definite`)
+    of the amplitude-free potential (p lam^2/2) sech^2(gamma t) on the same
+    grid, gated by its relative residual (:func:`_k1_step_operator`): no
+    step samples the extremal.
 
     Monotonicity of the k=1 eigenvalue in b (required for bisection) holds
     on all sampled families; it is asserted by the test suite rather than
@@ -300,6 +346,11 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
         raise NoSignChange("guarded bracket is empty",
                            s_lo=s_lo, s_hi=s_hi, N=N, a=a)
 
+    # the ends still eigensolve the sampled operator, because perfbench's
+    # traced run expects fs-curve to call build_mode_operator,
+    # sample_extremal and residual_autonomous.  Once its _EXPECTED table
+    # drops them, the ROADMAP item on the log-domain k=1 potential moves
+    # the ends onto the step operator and deletes log_amp_cap
     lo, hi = a + s_lo, a + s_hi
     f_lo = fs_mode_eigenvalue(make_params(N, a, lo), T=T, dx=dx)
     f_hi = fs_mode_eigenvalue(make_params(N, a, hi), T=T, dx=dx)
@@ -310,7 +361,7 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _positive_definite(_fs_mode_operator(make_params(N, a, mid), T, dx)):
+        if _positive_definite(_k1_step_operator(make_params(N, a, mid), T, dx)):
             hi = mid
         else:
             lo = mid

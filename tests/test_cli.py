@@ -222,6 +222,42 @@ def test_fs_curve_rows_and_determinism(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
 
 
+# fs-curve CSVs pinned byte for byte: the bisection steps factor the
+# amplitude-free k=1 potential and must take the decisions that the sampled
+# operator takes.  Moving the bracket ends onto that potential (ROADMAP, the
+# log-domain k=1 item) changes these bytes on purpose
+_PINNED_FS_CURVES = {
+    2: """a,b_fs_closed,b_fs_numeric,abs_err
+-4,-3.0298574998546681,-3.029857482066789,1.7787879169617327e-08
+-3.1666666666666665,-2.2130840015325246,-2.2130839398084969,6.172402766679852e-08
+-2.333333333333333,-1.4141883033152753,-1.414187972080196,3.3123507936494434e-07
+-1.5,-0.66794970566215628,-0.66794992274247333,2.1708031705536257e-07
+""",
+    4: """a,b_fs_closed,b_fs_numeric,abs_err
+-4,-3.1101776349538639,-3.1101768404412602,7.9451260370788646e-07
+-3.1666666666666665,-2.3198745287838722,-2.3198740600157928,4.6876807946460985e-07
+-2.333333333333333,-1.5586203145011055,-1.5586195757680015,7.3873310402206016e-07
+-1.5,-0.85601012694642709,-0.85600921510459926,9.1184182782200196e-07
+""",
+    6: """a,b_fs_closed,b_fs_numeric,abs_err
+-4,-3.1888722860050907,-3.1888706038591286,1.6821459620786072e-06
+-3.1666666666666665,-2.4134516708260496,-2.4134503820029676,1.2888230820351509e-06
+-2.333333333333333,-1.6673482179371462,-1.6673460924455501,2.1254915960611243e-06
+-1.5,-0.97189708519884688,-0.9718942403320292,2.8448668176750402e-06
+""",
+}
+
+
+@pytest.mark.parametrize("N", sorted(_PINNED_FS_CURVES))
+def test_fs_curve_bytes_are_pinned(capsys, tmp_path, monkeypatch, N):
+    monkeypatch.chdir(tmp_path)
+    argv = ["fs-curve", "--N", str(N), "--a-min=-4", "--a-max=-1.5",
+            "--steps", "4"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (_PINNED_FS_CURVES[N], "")
+
+
 def test_regionmap_csv_deterministic(tmp_path, capsys):
     argv = ["regionmap", "--N", "3", "--a-min", "-2", "--a-max", "1",
             "--b-min", "-2", "--b-max", "2", "--na", "25", "--nb", "25",

@@ -37,6 +37,7 @@ from ckn_lab import (
     sample_radial_form,
     spectrum,
 )
+from ckn_lab.profiles import _log_sech
 
 
 def _extremal_operator(N, a, b, k, T=40.0, dx=0.01):
@@ -194,11 +195,13 @@ def test_threshold_input_validation():
         find_fs_threshold(3, 0.2, 1e-5)
 
 
-@pytest.mark.parametrize("N, a", [(2, -1.0), (3, -0.5), (4, -2.0),
-                                  (5, -3.0), (6, -0.3)])
+@pytest.mark.parametrize("N, a", [(2, -1.0), (3, -0.5), (4, -2.0)] + [
+    (N, a) for N in (2, 3, 4, 5, 6) for a in (-0.3, -3.0, -8.0)])
 def test_inertia_bisection_matches_eigensolve_bisection(monkeypatch, N, a):
     # the search eigensolves only its two bracket ends; recording them
-    # gives the reference bisection the same bracket
+    # gives the reference bisection the same bracket.  The reference
+    # decides each step on the eigenvalue of the sampled operator, the
+    # search on the inertia of the amplitude-free one
     ends = []
 
     def recording(params, **kwargs):
@@ -223,12 +226,16 @@ def test_inertia_bisection_matches_eigensolve_bisection(monkeypatch, N, a):
        offset=st.floats(-1.0, 1.0), decades=st.integers(0, 8))
 def test_inertia_sign_matches_principal_eigenvalue(N, lam, s, offset,
                                                    decades):
-    # shifting the potential by a constant shifts every eigenvalue by it:
-    # move the principal eigenvalue to offset * 10^-decades, so that the
-    # draws reach down to the sign change
     a = (N - 2) / 2.0 - lam
     op = spectrum._fs_mode_operator(make_params(N, a, a + s), 40.0, 0.01)
-    shift = offset * 10.0 ** -decades - principal_eigenvalue(
+    _check_inertia_sign(op, offset * 10.0 ** -decades)
+
+
+def _check_inertia_sign(op, target):
+    # shifting the potential by a constant shifts every eigenvalue by it:
+    # move the principal eigenvalue to target, so that the draws reach
+    # down to the sign change
+    shift = target - principal_eigenvalue(
         op, asymptote_tol=math.inf).mu
     shifted = ModeOperator(k=op.k, lambda_k=op.lambda_k,
                            potential=op.potential + shift, grid=op.grid,
@@ -236,6 +243,16 @@ def test_inertia_sign_matches_principal_eigenvalue(N, lam, s, offset,
     mu = principal_eigenvalue(shifted, asymptote_tol=math.inf).mu
     assume(abs(mu) > 1e-9)
     assert spectrum._positive_definite(shifted) == (mu > 0.0)
+
+
+@settings(max_examples=40)
+@given(N=st.integers(2, 6), lam=st.floats(0.2, 4.0), s=st.floats(0.25, 0.95),
+       offset=st.floats(-1.0, 1.0), decades=st.integers(0, 8))
+def test_inertia_sign_of_the_step_operator(N, lam, s, offset, decades):
+    # the same property on the operator that the bisection steps factor
+    a = (N - 2) / 2.0 - lam
+    op = spectrum._k1_step_operator(make_params(N, a, a + s), 40.0, 0.01)
+    _check_inertia_sign(op, offset * 10.0 ** -decades)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -249,3 +266,95 @@ def test_inertia_test_rejects_a_non_finite_potential(bad):
                           grid=op.grid, params=op.params)
     with pytest.raises(NotConverged):
         spectrum._positive_definite(broken)
+
+
+def _guarded_ends(monkeypatch, N, a):
+    # the two bracket ends of find_fs_threshold, read without eigensolves:
+    # a stand-in eigenvalue of -1 and +1 lets the search run its steps
+    ends = []
+
+    def recording(params, **kwargs):
+        ends.append(params.b)
+        return -1.0 if len(ends) == 1 else 1.0
+
+    with monkeypatch.context() as m:
+        m.setattr(spectrum, "fs_mode_eigenvalue", recording)
+        find_fs_threshold(N, a, 1e-3)
+    return ends
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_step_potential_matches_sampled_operator(monkeypatch, N):
+    # the step potential is (p-1)(p lam^2/2) sech^2 with no amplitude; on
+    # the grid of the sampled k=1 operator it agrees with (p-1) w*^{p-2}
+    # to rounding, at points across the guarded bracket
+    checked = 0
+    for a in (-0.3, -3.0, -8.0):
+        lo, hi = _guarded_ends(monkeypatch, N, a)
+        for b in np.linspace(lo, hi, 9):
+            params = make_params(N, a, float(b))
+            step = spectrum._k1_step_operator(params, 40.0, 0.01)
+            depth = (params.p - 1.0) * params.p * params.lam ** 2 / 2.0
+            assert step.k == 1 and step.lambda_k == N - 1
+            assert np.isclose(step.potential.min(), step.asymptote - depth,
+                              rtol=1e-12)
+            if extremal_form(params).amplitude == 0.0:
+                # A = (p lam^2/2)^{1/(p-2)} underflows near p = 2 when
+                # p lam^2/2 < 1: the sampled profile is zero there, and
+                # only the step potential keeps its well
+                continue
+            sampled = spectrum._fs_mode_operator(params, 40.0, 0.01)
+            assert step.grid == sampled.grid
+            assert np.max(np.abs(step.potential - sampled.potential)) \
+                <= 1e-13 * depth
+            checked += 1
+    assert checked >= 20
+
+
+def _scaled_log_sech(x):
+    # sech^2 off by a relative 2e-6
+    return _log_sech(x) + 1e-6
+
+
+def _nan_log_sech(x):
+    out = _log_sech(x)
+    out[out.size // 2] = math.nan
+    return out
+
+
+@pytest.mark.parametrize("corrupt", [_scaled_log_sech, _nan_log_sech])
+def test_step_gate_rejects_a_corrupted_sech2(monkeypatch, corrupt):
+    params = make_params(3, -1.0, -0.5)
+    spectrum._k1_step_operator(params, 40.0, 0.01)
+    monkeypatch.setattr(spectrum, "_log_sech", corrupt)
+    with pytest.raises(UnverifiedProfile):
+        spectrum._k1_step_operator(params, 40.0, 0.01)
+    # the ends sample the extremal through profiles and pass; the first
+    # bisection step is refused
+    with pytest.raises(UnverifiedProfile):
+        find_fs_threshold(3, -1.0, 1e-3)
+
+
+def test_threshold_samples_the_extremal_only_at_its_two_ends(monkeypatch):
+    calls = {}
+
+    def counting(name):
+        original = getattr(spectrum, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(spectrum, name, wrapper)
+
+    for name in ("sample_extremal", "build_mode_operator",
+                 "residual_autonomous", "fs_mode_eigenvalue",
+                 "principal_eigenvalue", "_k1_step_operator",
+                 "_positive_definite"):
+        counting(name)
+    find_fs_threshold(4, -2.0, 1e-6)
+    steps = calls.pop("_k1_step_operator")
+    assert steps >= 19  # the bracket is wider than 2^19 tol
+    assert calls.pop("_positive_definite") == steps
+    assert calls == {"sample_extremal": 2, "build_mode_operator": 2,
+                     "residual_autonomous": 2, "fs_mode_eigenvalue": 2,
+                     "principal_eigenvalue": 2}
