@@ -49,6 +49,7 @@ from .errors import (
 from .profiles import (
     ExtremalForm,
     LogGridProfile,
+    _log_amplitude,
     dualize_profile,
     extremal_dt_value,
     to_radial_u,
@@ -107,7 +108,7 @@ class EnergyReport:
 def tail_window(form: ExtremalForm, min_T: float = 40.0) -> float:
     """Half-width T of [-T, T] where w*(T) ~ A 2^beta e^{-|lam| T} is below
     TAIL_GATE: 28.5 is -ln(TAIL_GATE) = 27.6 plus a margin."""
-    log_tail = math.log(form.amplitude) + form.sech_power * math.log(2.0)
+    log_tail = _log_amplitude(form) + form.sech_power * math.log(2.0)
     return max(min_T, math.ceil((log_tail + 28.5) / abs(form.params.lam)))
 
 
@@ -181,7 +182,7 @@ def _lp_r_space(profile: LogGridProfile) -> float:
     form = profile.form
     if form is not None:
         lam, power = p.lam, p.p
-        log_amp = math.log(form.amplitude)
+        log_amp = _log_amplitude(form)
         beta, rate, center = form.sech_power, form.rate, form.center
         log2 = math.log(2.0)
 

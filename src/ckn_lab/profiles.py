@@ -162,6 +162,17 @@ def extremal_form(params: CknParams) -> ExtremalForm:
                         center=0.0, params=params)
 
 
+def _log_amplitude(form: ExtremalForm) -> float:
+    """ln A of a closed form, refused as degenerate where A underflowed to
+    0: near p = 2 with p lam^2/2 < 1, ln A falls below about -745."""
+    if not form.amplitude > 0.0:
+        p = form.params
+        raise DegenerateParams(
+            "extremal amplitude underflows double precision as p -> 2",
+            a=p.a, b=p.b, p=p.p, lam=p.lam)
+    return math.log(form.amplitude)
+
+
 def _log_sech(x: np.ndarray) -> np.ndarray:
     # ln sech(x) = ln 2 - |x| - ln(1 + e^{-2|x|}), exact 0 at x = 0
     ax = np.abs(x)
@@ -260,7 +271,7 @@ def sample_radial_form(params: CknParams, inner_exponent: float,
     q = extremal_form(params)  # validates the regime, supplies A and beta
     t = _sample_grid(t0, dt, n)
     beta = q.sech_power
-    log_c = math.log(q.amplitude) + beta * math.log(2.0)
+    log_c = _log_amplitude(q) + beta * math.log(2.0)
     x = inner_exponent * t
     softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     # ln w = lam t + ln C - beta ln(1 + e^{x})

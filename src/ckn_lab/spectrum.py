@@ -138,10 +138,85 @@ def _tridiagonal(op: ModeOperator) -> Tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenReport]:
-    # imported on first use: commands that never solve start without scipy
-    from scipy.linalg import eigh_tridiagonal
+def _refuse_non_finite(op: ModeOperator, d: np.ndarray) -> None:
+    # LAPACK's pivot test d <= 0 is false for NaN, so a non-finite diagonal
+    # would pass every inertia test
+    if not np.isfinite(d).all():
+        p = op.params
+        raise NotConverged("mode operator has a non-finite potential",
+                           N=p.N, a=p.a, b=p.b, k=op.k)
 
+
+_PRINCIPAL_MAX_ITER = 60
+_SHIFT_TRIES = 4
+
+
+def _principal_pair(op: ModeOperator, d: np.ndarray,
+                    e: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Smallest eigenvalue mu_1 and its unit eigenvector of the tridiagonal
+    matrix T = tridiag(e, d, e), by inverse iteration with shifts from below.
+
+    Every shift sigma is certified to lie below mu_1 by a successful
+    LDL^T factorization of T - sigma I (dpttrf; Sylvester's law of
+    inertia), and every Rayleigh quotient mu = x^T T x lies above it, so
+    mu_1 is in (sigma, mu] at each step.  The first shift is the
+    Gershgorin bound min d - 2 max|e|; each later one is mu - ||Tx - mu x||,
+    with the step halved toward sigma while the factorization fails, at
+    most _SHIFT_TRIES times.  Stops when mu - sigma is 8 ulps of the
+    Gershgorin norm bound.  T - sigma I is positive definite with e < 0,
+    so its inverse is entrywise positive and so is every iterate from
+    x = ones.
+    """
+    # imported on first use: commands that never solve start without scipy
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    _refuse_non_finite(op, d)
+    e_max = float(np.max(np.abs(e)))
+    tol = 8.0 * np.finfo(float).eps * (float(np.max(np.abs(d))) + 2.0 * e_max)
+
+    def factor(shift):
+        fd, fe, info = dpttrf(d - shift, e, overwrite_d=1)
+        return (fd, fe) if info == 0 else None
+
+    sigma = float(np.min(d)) - 2.0 * e_max
+    lu = factor(sigma)
+    if lu is None:
+        raise NotConverged("no positive definite shift at the Gershgorin bound",
+                           k=op.k, shift=sigma)
+    x = np.ones(d.size)
+    for _ in range(_PRINCIPAL_MAX_ITER):
+        x = dpttrs(lu[0], lu[1], x, overwrite_b=1)[0]
+        x /= np.linalg.norm(x)
+        tx = d * x
+        tx[:-1] += e * x[1:]
+        tx[1:] += e * x[:-1]
+        mu = float(x @ tx)
+        if mu - sigma <= tol:
+            return mu, x
+        step = mu - float(np.linalg.norm(tx - mu * x)) - sigma
+        for _ in range(_SHIFT_TRIES):
+            if not step > 0.0:
+                break
+            trial = factor(sigma + step)
+            if trial is not None:
+                sigma, lu = sigma + step, trial
+                break
+            step *= 0.5
+    raise NotConverged(
+        f"principal eigenpair not certified in {_PRINCIPAL_MAX_ITER} iterations",
+        k=op.k, lower=sigma, upper=mu)
+
+
+def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenReport]:
+    """The ``count`` lowest eigenpairs of the operator's matrix, behind
+    the asymptote gate.
+
+    One eigenpair comes from :func:`_principal_pair`, certified by LDL^T
+    factorizations alone.  Two or more come from LAPACK's Sturm-sequence
+    bisection with inverse iteration (stebz, stein): placing the second
+    eigenvalue needs an eigenvalue count, which a factorization that stops
+    at its first nonpositive pivot cannot give.
+    """
     t0, dt, n = op.grid
     V = op.potential
     dev = max(abs(float(V[0]) - op.asymptote), abs(float(V[-1]) - op.asymptote))
@@ -152,12 +227,19 @@ def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenRepo
             end_values=(float(V[0]), float(V[-1])),
         )
     d, e = _tridiagonal(op)
-    try:
-        vals, vecs = eigh_tridiagonal(
-            d, e, select="i", select_range=(0, count - 1), lapack_driver="stebz",
-        )
-    except Exception as exc:  # pragma: no cover - LAPACK failure surface
-        raise NotConverged(f"tridiagonal eigensolve failed: {exc}") from exc
+    if count == 1:
+        mu, x = _principal_pair(op, d, e)
+        vals, vecs = [mu], x[:, None]
+    else:
+        # imported on first use: commands that never solve start without scipy
+        from scipy.linalg import eigh_tridiagonal
+        try:
+            vals, vecs = eigh_tridiagonal(
+                d, e, select="i", select_range=(0, count - 1),
+                lapack_driver="stebz",
+            )
+        except Exception as exc:  # pragma: no cover - LAPACK failure surface
+            raise NotConverged(f"tridiagonal eigensolve failed: {exc}") from exc
     T = (n - 1) * dt / 2.0
     out = []
     for i in range(count):
@@ -177,10 +259,14 @@ def principal_eigenvalue(op: ModeOperator, *,
                          asymptote_tol: float = 1e-10) -> EigenReport:
     """Smallest Dirichlet eigenvalue of -d^2/dt^2 + V on the grid.
 
-    Solved with LAPACK's Sturm-sequence bisection (eigenvalue counting)
-    plus inverse iteration on the symmetric tridiagonal second-difference
-    matrix.  Truncation error decays like e^{-2 sqrt(asymptote - mu) T}
-    and the discretization error is O(dx^2).
+    Solved by inverse iteration with shifts from below on the symmetric
+    tridiagonal second-difference matrix (:func:`_principal_pair`): each
+    shift is certified below the eigenvalue by an LDL^T factorization, each
+    Rayleigh quotient bounds it from above, and the solve stops when the
+    two are 8 ulps of the matrix norm apart.  It raises NotConverged on a
+    non-finite potential and after 60 iterations.  Truncation error decays
+    like e^{-2 sqrt(asymptote - mu) T} and the discretization error is
+    O(dx^2).
 
     The potential must have reached its asymptote at both grid ends to
     within ``asymptote_tol`` (default per contract 1e-10); slow-decay
@@ -242,7 +328,10 @@ def _positive_definite(op: ModeOperator) -> bool:
     many negative eigenvalues as its LDL^T factorization has negative
     pivots, so one O(n) factorization (LAPACK dpttrf, which stops at the
     first pivot d <= 0) reads the sign without an eigensolve.  NaN passes
-    that pivot test, so a non-finite diagonal is refused first.
+    that pivot test, so a non-finite diagonal is refused first.  The same
+    test at a shifted diagonal certifies each lower bound of the principal
+    solver (:func:`_principal_pair`), which factors directly: a bisection
+    step is one call of this function.
 
     The operator may come from a sampled profile (build_mode_operator) or
     from the amplitude-free k=1 potential of a bisection step
@@ -253,10 +342,7 @@ def _positive_definite(op: ModeOperator) -> bool:
     from scipy.linalg.lapack import dpttrf
 
     d, e = _tridiagonal(op)
-    if not np.isfinite(d).all():
-        p = op.params
-        raise NotConverged("mode operator has a non-finite potential",
-                           N=p.N, a=p.a, b=p.b, k=op.k)
+    _refuse_non_finite(op, d)
     info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2]
     return info == 0
 

@@ -258,6 +258,22 @@ def test_fs_curve_bytes_are_pinned(capsys, tmp_path, monkeypatch, N):
     assert (out, err) == (_PINNED_FS_CURVES[N], "")
 
 
+# the spectrum table pinned byte for byte: it solves two eigenpairs by
+# Sturm bisection (stebz), which the principal-only solver must not touch
+_PINNED_SPECTRUM = """k,lambda_k,mu1,mu2
+0,0,-2.8125146905336442,-4.2188837122072558e-05
+1,2,-0.81251469053364422,1.999957811162878
+2,6,3.1874853094663558,5.9999578111628775
+3,12,9.1874853094663553,11.999957811162878
+"""
+
+
+def test_spectrum_bytes_are_pinned(capsys):
+    assert main(["spectrum", "--N", "3", "--a=-1", "--b=-0.5",
+                 "--kmax", "3"]) == 0
+    assert capsys.readouterr() == (_PINNED_SPECTRUM, "")
+
+
 def test_regionmap_csv_deterministic(tmp_path, capsys):
     argv = ["regionmap", "--N", "3", "--a-min", "-2", "--a-max", "1",
             "--b-min", "-2", "--b-max", "2", "--na", "25", "--nb", "25",
@@ -554,6 +570,11 @@ _HUGE_PARAMETERS = [
     # near p = 2, w_eq = lam^{2/(p-2)} leaves the float range
     (["shoot", "--N", "3", "--a=-1", "--b=-0.0001"], 2, "degenerate_params"),
     (["shoot", "--N", "2", "--a=-3", "--b=-2.0001", "--T", "2"], 2,
+     "degenerate_params"),
+    # near p = 2 with p lam^2/2 < 1 the amplitude underflows to 0
+    (["extremal", "--N", "2", "--a=-0.3", "--b=0.699"], 2,
+     "degenerate_params"),
+    (["energy", "--N", "2", "--a=-0.3", "--b=0.699", "--format", "json"], 2,
      "degenerate_params"),
     # an orbit rate of 1.1e6 needs more substeps than the node budget
     (["shoot", "--N", "3", "--a=-1e6", "--b=-999999.8"], 2,

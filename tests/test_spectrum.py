@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +47,14 @@ def _extremal_operator(N, a, b, k, T=40.0, dx=0.01):
     n = int(round(2 * T / dx)) + 1
     prof = sample_extremal(extremal_form(params), -T, dx, n)
     return build_mode_operator(prof, k)
+
+
+def _stebz_principal(op):
+    # the reference that shares no code with the principal solver: LAPACK's
+    # Sturm-count bisection on the same tridiagonal matrix
+    d, e = spectrum._tridiagonal(op)
+    return float(scipy.linalg.eigvalsh_tridiagonal(
+        d, e, select="i", select_range=(0, 0), lapack_driver="stebz")[0])
 
 
 def pt_eigenvalue(params, k, n):
@@ -219,6 +229,17 @@ def test_inertia_bisection_matches_eigensolve_bisection(monkeypatch, N, a):
         else:
             hi = mid
     assert found == 0.5 * (lo + hi)
+    # fs_mode_eigenvalue itself rests on dpttrf certificates, so the same
+    # bisection is decided once more by Sturm counting
+    lo, hi = ends
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        op = spectrum._fs_mode_operator(make_params(N, a, mid), 40.0, 0.01)
+        if _stebz_principal(op) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert found == 0.5 * (lo + hi)
 
 
 @settings(max_examples=40)
@@ -243,6 +264,12 @@ def _check_inertia_sign(op, target):
     mu = principal_eigenvalue(shifted, asymptote_tol=math.inf).mu
     assume(abs(mu) > 1e-9)
     assert spectrum._positive_definite(shifted) == (mu > 0.0)
+    # principal_eigenvalue certifies its bounds with dpttrf as well; the
+    # Sturm count of stebz decides the sign independently
+    ref = _stebz_principal(shifted)
+    assert abs(mu - ref) <= 1e-11 * max(1.0, abs(ref))
+    assume(abs(ref) > 1e-9)
+    assert spectrum._positive_definite(shifted) == (ref > 0.0)
 
 
 @settings(max_examples=40)
@@ -255,17 +282,36 @@ def test_inertia_sign_of_the_step_operator(N, lam, s, offset, decades):
     _check_inertia_sign(op, offset * 10.0 ** -decades)
 
 
+def _broken_operator(bad):
+    op = spectrum._fs_mode_operator(make_params(3, -1.0, -0.5), 40.0, 0.01)
+    V = op.potential.copy()
+    V[4000] = bad
+    return ModeOperator(k=op.k, lambda_k=op.lambda_k, potential=V,
+                        grid=op.grid, params=op.params)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_inertia_test_rejects_a_non_finite_potential(bad):
     # LAPACK's pivot test d <= 0 is false for NaN: a NaN potential would
     # read as positive definite if it reached the factorization
-    op = spectrum._fs_mode_operator(make_params(3, -1.0, -0.5), 40.0, 0.01)
-    V = op.potential.copy()
-    V[4000] = bad
-    broken = ModeOperator(k=op.k, lambda_k=op.lambda_k, potential=V,
-                          grid=op.grid, params=op.params)
     with pytest.raises(NotConverged):
-        spectrum._positive_definite(broken)
+        spectrum._positive_definite(_broken_operator(bad))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_principal_solve_rejects_a_non_finite_potential(bad):
+    # the solver's shifts are certified by the same pivot test, so the
+    # potential is refused before the first shift, not at the cap
+    with pytest.raises(NotConverged, match="non-finite potential"):
+        principal_eigenvalue(_broken_operator(bad), asymptote_tol=math.inf)
+
+
+def test_principal_solve_stops_at_its_iteration_cap(monkeypatch):
+    op = spectrum._fs_mode_operator(make_params(3, -1.0, -0.5), 40.0, 0.01)
+    principal_eigenvalue(op, asymptote_tol=math.inf)
+    monkeypatch.setattr(spectrum, "_PRINCIPAL_MAX_ITER", 2)
+    with pytest.raises(NotConverged):
+        principal_eigenvalue(op, asymptote_tol=math.inf)
 
 
 def _guarded_ends(monkeypatch, N, a):
@@ -281,6 +327,62 @@ def _guarded_ends(monkeypatch, N, a):
         m.setattr(spectrum, "fs_mode_eigenvalue", recording)
         find_fs_threshold(N, a, 1e-3)
     return ends
+
+
+def _bracket_operators(monkeypatch, N, a_values):
+    # the k=1 operators at the two ends and the midpoint of the threshold
+    # search's guarded bracket
+    for a in a_values:
+        lo, hi = _guarded_ends(monkeypatch, N, float(a))
+        for b in (lo, 0.5 * (lo + hi), hi):
+            yield spectrum._fs_mode_operator(make_params(N, float(a), b),
+                                             40.0, 0.01)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_principal_solve_matches_sturm_bisection(monkeypatch, N):
+    for op in _bracket_operators(monkeypatch, N, np.linspace(-10.0, -0.05, 6)):
+        rep = principal_eigenvalue(op, asymptote_tol=math.inf)
+        assert abs(rep.mu - _stebz_principal(op)) <= 1e-11 * max(1.0,
+                                                                 abs(rep.mu))
+        v = rep.eigenvector
+        assert v[0] == v[-1] == 0.0
+        assert np.all(v[1:-1] > 0.0)
+        assert np.isclose(np.linalg.norm(v), 1.0, rtol=1e-12)
+        d, e = spectrum._tridiagonal(op)
+        x = v[1:-1]
+        tx = d * x
+        tx[:-1] += e * x[1:]
+        tx[1:] += e * x[:-1]
+        norm = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
+        assert np.linalg.norm(tx - rep.mu * x) <= 1e-8 * norm
+
+
+def test_principal_solve_factors_without_an_eigensolve(monkeypatch):
+    # one principal solve on the benchmark's band: no stebz call and at
+    # most 15 LDL^T factorizations
+    def refused(*args, **kwargs):
+        raise AssertionError("principal solve called eigh_tridiagonal")
+
+    factored = []
+    dpttrf = scipy.linalg.lapack.dpttrf
+
+    def counting(*args, **kwargs):
+        factored.append(1)
+        return dpttrf(*args, **kwargs)
+
+    for N in (2, 3, 4, 5, 6):
+        for op in _bracket_operators(monkeypatch, N,
+                                     np.linspace(-4.0, -1.5, 3)):
+            with monkeypatch.context() as m:
+                m.setattr(scipy.linalg, "eigh_tridiagonal", refused)
+                m.setattr(scipy.linalg.lapack, "dpttrf", counting)
+                factored.clear()
+                principal_eigenvalue(op, asymptote_tol=math.inf)
+                assert 1 <= len(factored) <= 15
+                factored.clear()
+                mode_eigenvalues(op, 1, asymptote_tol=math.inf)
+                assert 1 <= len(factored) <= 15
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
