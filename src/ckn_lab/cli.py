@@ -51,7 +51,8 @@ from .profiles import (
 from .radial import residual_autonomous, shoot_homoclinic
 from .spectrum import (asymptote_window, build_mode_operator,
                        find_fs_threshold, mode_eigenvalues)
-from .energy import energy_report, hardy_check, tail_window, verify_dual_energy
+from .energy import (_check_identity, energy_report, hardy_check, tail_window,
+                     verify_dual_energy)
 
 __all__ = ["main"]
 
@@ -130,8 +131,9 @@ def _require_point(args) -> CknParams:
 
 
 def _grid_T(args) -> float:
-    # --T has no parser default, so that spectrum and energy can tell an
-    # explicit truncation from their automatic one
+    # shoot and extremal default to 40.  --T has no parser default, so
+    # that spectrum, energy and fs-curve can tell an explicit truncation
+    # from their automatic one
     return 40.0 if args.T is None else args.T
 
 
@@ -258,12 +260,11 @@ def _cmd_fs_curve(args) -> int:
             steps=steps, limit=MAX_MAP_NODES)
     if a_max < a_min:
         raise _UsageError("--a-max must be >= --a-min")
-    T, dx = _grid_T(args), args.dt
     a_values = _nodes(a_min, a_max, steps)
     lines = ["a,b_fs_closed,b_fs_numeric,abs_err"]
     for a in a_values:
         closed = b_fs(N, a)
-        numeric = find_fs_threshold(N, a, args.tol, T=T, dx=dx)
+        numeric = find_fs_threshold(N, a, args.tol, T=args.T, dx=args.dt)
         row = (a, closed, numeric, abs(numeric - closed))
         lines.append(",".join(_g(x) for x in row))
     _emit(["\n".join(lines) + "\n"], args.out)
@@ -324,6 +325,7 @@ def _cmd_energy(args) -> int:
     n = window_nodes(T, dt)
     profile = sample_extremal(form, -T, dt, n)
     rep = energy_report(profile)
+    _check_identity(rep, params)
     fmt = args.format or "csv"
     if fmt == "csv":
         lines = ["N,a,b,grad_sq,lp,hardy_lhs,quotient",

@@ -68,6 +68,12 @@ __all__ = [
 ]
 
 TAIL_GATE = 1e-12
+# grad_sq = lp holds exactly for the extremal, so their relative gap is a
+# free a-posteriori check of both t-space sums; 1e-8 is the identity's
+# stated tolerance.  Against the Beta-function closed forms (N = 2..6,
+# b - a in [0.02, 0.95], |lam| in [0.05, 600], both signs) no lp that
+# misses its closed form by more than 1e-8 passes this gate
+IDENTITY_GATE = 1e-8
 
 
 def surface_measure(N: int) -> float:
@@ -156,6 +162,21 @@ def energy_report(profile: LogGridProfile) -> EnergyReport:
     quotient = grad_sq / lp_val ** (2.0 / profile.params.p) if lp_val > 0 else 0.0
     return EnergyReport(grad_sq=grad_sq, lp=lp_val, hardy_lhs=omega * hardy,
                         quotient=quotient, omega_n=omega)
+
+
+def _check_identity(rep: EnergyReport, params) -> None:
+    """Refuse a report of the extremal whose grad_sq and lp differ by more
+    than IDENTITY_GATE relative: its t-space step is too coarse for
+    gamma dt and beta = 2/(p-2), or its window too short for a small
+    amplitude (TAIL_GATE is absolute)."""
+    diff = abs(rep.grad_sq - rep.lp)
+    if not diff <= IDENTITY_GATE * rep.lp:
+        raise NotConverged(
+            "grad_sq and lp miss the identity grad_sq = lp by more than "
+            f"{IDENTITY_GATE:.0e} relative",
+            N=params.N, a=params.a, b=params.b,
+            # lp is 0 only where |w|^p underflowed; the gap is unbounded
+            gap=diff / rep.lp if rep.lp > 0 else None, gate=IDENTITY_GATE)
 
 
 def _lp_r_space(profile: LogGridProfile) -> float:

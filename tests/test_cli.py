@@ -610,6 +610,14 @@ _UNDERFLOW = {"code": "degenerate_params",
               "context": {"a": -1e-300, "b": 0.5, "lam": 1e-300, "p": 4.0},
               "message": "p lam^2 / 2 underflows double precision as lam -> 0"}
 
+_IDENTITY_MESSAGE = ("grad_sq and lp miss the identity grad_sq = lp by "
+                     "more than 1e-08 relative")
+
+_IDENTITY_100 = {"code": "not_converged",
+                 "context": {"N": 3, "a": -100.0, "b": -99.5,
+                             "gap": 0.00015136169735172913, "gate": 1e-08},
+                 "message": _IDENTITY_MESSAGE}
+
 _PINNED_ERRORS = [
     # 2T/dt past the float range counts as infinitely many nodes
     (["extremal", "--N", "3", "--a", "0", "--b", "0", "--T", "1e300",
@@ -636,6 +644,32 @@ _PINNED_ERRORS = [
      {"code": "resolution_too_large",
       "context": {"limit": 2000, "steps": 1000000000000},
       "message": "threshold curve limited to 2000 nodes"}),
+    # an explicit --T shorter than the k=1 well's window at tol: Dirichlet
+    # walls that close printed b_fs_numeric -0.790 (T = 0.5) and an error
+    # of 3.0e-4 (T = 3) against the closed form's -0.409
+    (["fs-curve", "--N", "3", "--a-min=-1", "--a-max=-1", "--steps", "1",
+      "--T", "0.5"],
+     {"code": "invalid_step",
+      "context": {"N": 3, "T": 0.5, "a": -1.0, "window": 7.0},
+      "message": "window T = 0.5 is shorter than the 7 that the k=1 well "
+                 "needs at tol 1e-06"}),
+    (["fs-curve", "--N", "3", "--a-min=-1", "--a-max=-1", "--steps", "1",
+      "--T", "3"],
+     {"code": "invalid_step",
+      "context": {"N": 3, "T": 3.0, "a": -1.0, "window": 7.0},
+      "message": "window T = 3.0 is shorter than the 7 that the k=1 well "
+                 "needs at tol 1e-06"}),
+    # energy refuses where grad_sq = lp fails by more than its 1e-8: the
+    # t-space step is too coarse for gamma dt = 0.5 (lp off by 1.0e-4) and
+    # for beta = 29 at gamma dt = 0.2 (lp off by 6.7e-4); both formats
+    (["energy", "--N", "3", "--a=-100", "--b=-99.5"], _IDENTITY_100),
+    (["energy", "--N", "3", "--a=-100", "--b=-99.5", "--format", "json"],
+     _IDENTITY_100),
+    (["energy", "--N", "6", "--a=-578", "--b=-577.1"],
+     {"code": "not_converged",
+      "context": {"N": 6, "a": -578.0, "b": -577.1,
+                  "gap": 0.00029695449291393226, "gate": 1e-08},
+      "message": _IDENTITY_MESSAGE}),
     # the spectrum table gets the same limit on its rows, checked before
     # the profile is sampled
     (["spectrum", "--N", "3", "--a=-1", "--b=-0.5", "--kmax", "2001"],
@@ -765,6 +799,23 @@ def test_energy_defect_points_print_one_json_line_and_no_warning(capsys,
     lp1, lp2 = out["dual_lp_pair"]
     assert abs(lp1 - lp2) <= 1e-6 * lp1
     assert abs(out["grad_sq"] - out["lp"]) <= 1e-8 * out["lp"]
+
+
+@pytest.mark.parametrize("N, a, b", [
+    # the corner of the benchmark's point band (lam = 0.3, b - a = 0.85):
+    # the amplitude is 1.9e-10, so the absolute 1e-12 tail gate leaves a
+    # gap of 6.2e-9, inside the identity's 1e-8
+    (6, 1.7, 2.55),
+    # N = 3, b - a = 1/2: the last point of a 0.5 grid that answers
+    # (a = -62 is refused with a gap of 1.04e-8)
+    (3, -61.5, -61.0),
+])
+def test_energy_identity_gate_passes_inside_its_tolerance(capsys, N, a, b):
+    for fmt in ("csv", "json"):
+        assert main(["energy", "--N", str(N), f"--a={a}", f"--b={b}",
+                     "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
 
 
 def test_energy_overflow_is_a_typed_error(capsys):

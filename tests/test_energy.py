@@ -19,9 +19,11 @@ from scipy.integrate import quad
 
 from ckn_lab import (
     CriticalA,
+    EnergyReport,
     InvalidStep,
     LogGridProfile,
     NonpositiveValues,
+    NotConverged,
     TailNotDecayed,
     WindowOutOfGrid,
     composite_simpson,
@@ -40,6 +42,7 @@ from ckn_lab import (
     tail_window,
     verify_dual_energy,
 )
+from ckn_lab import energy
 
 
 def decayed_extremal(N, a, b, min_T=40.0):
@@ -109,6 +112,25 @@ def test_beta_oracle_scan_along_a_with_fixed_b_minus_a():
     # a = -40
     for a in np.arange(-40.0, 0.25, 0.5):
         _assert_matches_beta_oracle(3, float(a), float(a) + 0.5)
+
+
+def test_identity_gate_refuses_a_gap_and_an_underflowed_lp():
+    params = make_params(3, 0.0, 0.0)
+
+    def report(grad_sq, lp):
+        return EnergyReport(grad_sq=grad_sq, lp=lp, hardy_lhs=0.0,
+                            quotient=0.0, omega_n=1.0)
+
+    energy._check_identity(report(1.0 + 1e-8, 1.0), params)
+    energy._check_identity(report(0.0, 0.0), params)
+    with pytest.raises(NotConverged) as info:
+        energy._check_identity(report(1.0 + 3e-8, 1.0), params)
+    assert info.value.context["gap"] == pytest.approx(3e-8)
+    with pytest.raises(NotConverged) as info:
+        energy._check_identity(report(1e-300, 0.0), params)
+    assert info.value.context["gap"] is None
+    with pytest.raises(NotConverged):
+        energy._check_identity(report(math.nan, 1.0), params)
 
 
 def test_surface_measure_values():

@@ -39,6 +39,7 @@ from ckn_lab import (
     sample_radial_form,
     spectrum,
 )
+from ckn_lab import params as params_module
 from ckn_lab.profiles import _log_sech
 
 
@@ -203,6 +204,50 @@ def test_threshold_input_validation():
         find_fs_threshold(3, -1.0, 1e-7)
     with pytest.raises(OutOfDomain):
         find_fs_threshold(3, 0.2, 1e-5)
+
+
+@pytest.mark.parametrize("N, a, T", [(2, -1.0, 27.0), (6, -10.0, 6.0),
+                                     (2, -0.01, 37.0), (2, -1e-9, 37.0)])
+def test_threshold_window_values(N, a, T):
+    assert spectrum._fs_window(N, a, 1e-16) == T
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_automatic_window_matches_the_fixed_one_bit_for_bit(N):
+    for a in (-0.01, -0.3, -2.0, -5.0, -9.9):
+        assert spectrum._fs_window(N, a, 1e-16) < 40.0
+        assert find_fs_threshold(N, a, 1e-6) == find_fs_threshold(
+            N, a, 1e-6, T=40.0)
+
+
+def test_threshold_window_never_reads_the_closed_form(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the threshold search read b_fs")
+
+    expected = find_fs_threshold(3, -1.0, 1e-6)
+    monkeypatch.setattr(spectrum, "b_fs", refused, raising=False)
+    monkeypatch.setattr(params_module, "b_fs", refused)
+    assert spectrum._fs_window(3, -1.0, 1e-16) == 18.0
+    assert find_fs_threshold(3, -1.0, 1e-6) == expected
+    assert find_fs_threshold(3, -1.0, 1e-6, T=7.0) == expected
+
+
+def test_threshold_refuses_a_window_shorter_than_the_well():
+    # the window at eps = tol is 7 at (3, -1); it searches bit for bit
+    # like T = 40, and every shorter T is refused
+    assert spectrum._fs_window(3, -1.0, 1e-6) == 7.0
+    with pytest.raises(InvalidStep) as info:
+        find_fs_threshold(3, -1.0, 1e-6, T=6.99)
+    assert info.value.context == {"T": 6.99, "window": 7.0, "N": 3, "a": -1.0}
+    assert find_fs_threshold(3, -1.0, 1e-6, T=7.0) == find_fs_threshold(
+        3, -1.0, 1e-6, T=40.0)
+    # a looser tol needs a shorter window
+    assert spectrum._fs_window(3, -1.0, 1e-3) == 4.0
+    assert find_fs_threshold(3, -1.0, 1e-3, T=4.0) == find_fs_threshold(
+        3, -1.0, 1e-3, T=40.0)
+    # a tol past 1 needs no window at all
+    assert spectrum._fs_window(3, -1.0, 2.0) == 0.0
+    find_fs_threshold(3, -1.0, 2.0, T=0.5)
 
 
 @pytest.mark.parametrize("N, a", [(2, -1.0), (3, -0.5), (4, -2.0)] + [
