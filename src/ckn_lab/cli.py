@@ -284,7 +284,9 @@ def _cmd_spectrum(args) -> int:
             f"spectrum table limited to {MAX_MAP_NODES} modes",
             kmax=kmax, limit=MAX_MAP_NODES)
     n = window_nodes(T, dx)
-    profile = sample_extremal(form, -T, dx, n)
+    # centred on t = 0, where the well is even: the two eigenvalues come
+    # from the even and odd half blocks, which need a persymmetric matrix
+    profile = sample_extremal(form, -(n - 1) * dx / 2.0, dx, n)
     # V_k = V_0 + lambda_k exactly: every mode has the eigenvectors of
     # mode 0 and its eigenvalues shifted by lambda_k
     mu1, mu2 = (ev.mu for ev in

@@ -151,29 +151,33 @@ _PRINCIPAL_MAX_ITER = 60
 _SHIFT_TRIES = 4
 
 
-def _principal_pair(op: ModeOperator, d: np.ndarray,
-                    e: np.ndarray) -> Tuple[float, np.ndarray]:
+def _principal_pair(op: ModeOperator, d: np.ndarray, e: np.ndarray,
+                    x: np.ndarray, sigma: float) -> Tuple[float, np.ndarray]:
     """Smallest eigenvalue mu_1 and its unit eigenvector of the tridiagonal
-    matrix T = tridiag(e, d, e), by inverse iteration with shifts from below.
+    matrix T = tridiag(e, d, e), by inverse iteration with shifts from
+    below, from the first shift ``sigma`` and the positive start ``x``
+    (overwritten).  T is the whole matrix of an operator or one of its
+    parity blocks (:func:`_parity_blocks`).
 
     Every shift sigma is certified to lie below mu_1 by a successful
     LDL^T factorization of T - sigma I (dpttrf; Sylvester's law of
     inertia), and every Rayleigh quotient mu = x^T T x lies above it, so
     mu_1 is in (sigma, mu] at each step.  The first shift is the
-    Gershgorin bound min d - 2 max|e|; each later one is mu - ||Tx - mu x||,
+    Gershgorin bound min d - 2 max|e| of the operator's whole matrix, and
+    NotConverged if it does not factor; each later one is mu - ||Tx - mu x||,
     with the step halved toward sigma while the factorization fails, at
     most _SHIFT_TRIES times.  Stops when mu - sigma is 8 ulps of the
     Gershgorin norm bound.  T - sigma I is positive definite with e < 0,
     so its inverse is entrywise positive and so is every iterate from a
-    positive start.  The start does not enter the certificate; it is the
-    well's depth profile asymptote - V: on the benchmark's fs-curve
-    band it takes 5.4 successful and 0.01 failed dpttrf calls per solve,
-    against 5.9 and 0.4 from x = ones.
+    positive start.  The start does not enter the certificate; callers
+    pass the well's depth profile (:func:`_well_start`): on the
+    benchmark's fs-curve band it takes 5.4 successful and 0.01 failed
+    dpttrf calls per solve, against 5.9 and 0.4 from x = ones, and on
+    point-mix's spectrum band 5.7 on the even block and 6.4 on the odd.
     """
     # imported on first use: commands that never solve start without scipy
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    _refuse_non_finite(op, d)
     e_max = float(np.max(np.abs(e)))
     tol = 8.0 * np.finfo(float).eps * (float(np.max(np.abs(d))) + 2.0 * e_max)
 
@@ -181,18 +185,10 @@ def _principal_pair(op: ModeOperator, d: np.ndarray,
         fd, fe, info = dpttrf(d - shift, e, overwrite_d=1)
         return (fd, fe) if info == 0 else None
 
-    sigma = float(np.min(d)) - 2.0 * e_max
     lu = factor(sigma)
     if lu is None:
         raise NotConverged("no positive definite shift at the Gershgorin bound",
                            k=op.k, shift=sigma)
-    # a positive start shaped like the well, asymptote - V (a sech^2 for
-    # every operator built here), much nearer the ground state than a
-    # constant.  The 1e-12 floor keeps the start positive where the well
-    # rounds to 0; an empty well (an underflowed amplitude) starts from ones
-    well = np.maximum(op.asymptote - op.potential[1:-1], 0.0)
-    top = float(np.max(well))
-    x = well / top + 1e-12 if top > 0.0 else np.ones(d.size)
     for _ in range(_PRINCIPAL_MAX_ITER):
         x = dpttrs(lu[0], lu[1], x, overwrite_b=1)[0]
         x /= np.linalg.norm(x)
@@ -216,16 +212,95 @@ def _principal_pair(op: ModeOperator, d: np.ndarray,
         k=op.k, lower=sigma, upper=mu)
 
 
-def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenReport]:
-    """The ``count`` lowest eigenpairs of the operator's matrix, behind
-    the asymptote gate.
+def _well_start(op: ModeOperator) -> np.ndarray:
+    """A positive start shaped like the well, asymptote - V on the interior
+    nodes (a sech^2 for every operator built here), much nearer the ground
+    state than a constant.  The 1e-12 floor keeps the start positive where
+    the well rounds to 0; an empty well (an underflowed amplitude) starts
+    from ones."""
+    well = np.maximum(op.asymptote - op.potential[1:-1], 0.0)
+    top = float(np.max(well))
+    return well / top + 1e-12 if top > 0.0 else np.ones(well.size)
 
-    One eigenpair comes from :func:`_principal_pair`, certified by LDL^T
-    factorizations alone.  Two or more come from LAPACK's Sturm-sequence
-    bisection with inverse iteration (stebz, stein): placing the second
-    eigenvalue needs an eigenvalue count, which a factorization that stops
-    at its first nonpositive pivot cannot give.
+
+SYMMETRY_GATE = 1e-12
+
+
+def _parity_blocks(op: ModeOperator, d: np.ndarray, e: np.ndarray):
+    """The even and the odd block of a persymmetric tridiagonal matrix,
+    each as (diagonal, off-diagonal, start).
+
+    An even potential makes tridiag(e, d, e) persymmetric, and the
+    eigenvectors of a persymmetric Jacobi matrix are alternately symmetric
+    and skew about the centre, starting with a symmetric one (Cantoni and
+    Butler, Linear Algebra Appl. 13 (1976)).  On the right half of the
+    interior nodes, from the centre node c of an odd count or the first
+    node h right of the centre of an even count, the symmetric vectors
+    solve the even block and the skew ones the odd block:
+
+        odd count   even: d[c:], first off-diagonal times sqrt(2)
+                    odd:  d[c+1:], a Dirichlet zero at the centre
+        even count  even: d[h:] with d[h] + e
+                    odd:  d[h:] with d[h] - e
+
+    The blocks are read from the right half alone.  If the potential is
+    not exactly even, their eigenvalues are those of the matrix whose left
+    half mirrors its right one, which by Weyl's inequality moves each
+    eigenvalue by at most max |V(t) - V(-t)|.  That asymmetry is refused
+    with InvalidStep above SYMMETRY_GATE times max |V|: an off-centre grid
+    or an odd part of the potential, not rounding (sampled sech^2 wells on
+    centred grids are even to about 1e-14).
     """
+    V = op.potential
+    scale = float(np.max(np.abs(V)))
+    gap = float(np.max(np.abs(V - V[::-1])))
+    asymmetry = gap / scale if scale > 0.0 else gap
+    if not asymmetry <= SYMMETRY_GATE:
+        raise InvalidStep(
+            f"the potential is not even on its grid (asymmetry "
+            f"{asymmetry:.3e}); two eigenvalues need a centred grid and an "
+            f"even potential",
+            asymmetry=asymmetry, gate=SYMMETRY_GATE, k=op.k, grid=op.grid)
+    start = _well_start(op)
+    c = d.size // 2
+    if d.size % 2:
+        e_even = e[c:].copy()
+        e_even[0] *= math.sqrt(2.0)
+        return ((d[c:], e_even, start[c:].copy()),
+                (d[c + 1:], e[c + 1:], start[c + 1:]))
+    d_even, d_odd = d[c:].copy(), d[c:].copy()
+    d_even[0] += e[c - 1]
+    d_odd[0] -= e[c - 1]
+    return (d_even, e[c:], start[c:].copy()), (d_odd, e[c:], start[c:])
+
+
+def _mirror(z: np.ndarray, m: int, sign: float) -> np.ndarray:
+    """The interior vector of length m whose right half is the block
+    vector z, symmetric (sign 1) or skew (sign -1) about the centre.  The
+    even block of an odd count solves for x[c] / sqrt(2) at the centre."""
+    if m % 2 == 0:
+        return np.concatenate((sign * z[::-1], z))
+    if sign < 0.0:
+        return np.concatenate((-z[::-1], [0.0], z))
+    half = z.copy()
+    half[0] *= math.sqrt(2.0)
+    return np.concatenate((half[:0:-1], half))
+
+
+def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenReport]:
+    """The ``count`` lowest eigenpairs, count 1 or 2, of the operator's
+    matrix, behind the asymptote gate.
+
+    One eigenpair is the principal pair of the whole matrix
+    (:func:`_principal_pair`), certified by LDL^T factorizations alone.
+    Two are the principal pairs of its even and odd half-size blocks
+    (:func:`_parity_blocks`), each certified the same way: the ground
+    state is symmetric and the second eigenvector skew, so neither needs
+    deflation or a Sturm count.  That split needs an even potential, so
+    two eigenpairs of any other operator are refused with InvalidStep.
+    """
+    if count not in (1, 2):
+        raise InvalidStep(f"count must be 1 or 2, got {count}", count=count)
     t0, dt, n = op.grid
     V = op.potential
     dev = max(abs(float(V[0]) - op.asymptote), abs(float(V[-1]) - op.asymptote))
@@ -236,30 +311,31 @@ def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenRepo
             end_values=(float(V[0]), float(V[-1])),
         )
     d, e = _tridiagonal(op)
+    _refuse_non_finite(op, d)
+    # the Gershgorin floor of the whole matrix: the blocks' eigenvalues are
+    # those of the matrix mirrored from its right half, whose diagonal is
+    # drawn from d, so it bounds them too.  A block's own floor would sit
+    # (sqrt 2 - 1) / dt^2 lower, past the even block's sqrt(2) entry
+    sigma = float(np.min(d)) - 2.0 * float(np.max(np.abs(e)))
     if count == 1:
-        mu, x = _principal_pair(op, d, e)
-        vals, vecs = [mu], x[:, None]
+        pairs = [_principal_pair(op, d, e, _well_start(op), sigma)]
     else:
-        # imported on first use: commands that never solve start without scipy
-        from scipy.linalg import eigh_tridiagonal
-        try:
-            vals, vecs = eigh_tridiagonal(
-                d, e, select="i", select_range=(0, count - 1),
-                lapack_driver="stebz",
-            )
-        except Exception as exc:  # pragma: no cover - LAPACK failure surface
-            raise NotConverged(f"tridiagonal eigensolve failed: {exc}") from exc
+        pairs = []
+        blocks = _parity_blocks(op, d, e)
+        for sign, (db, eb, start) in zip((1.0, -1.0), blocks):
+            mu, z = _principal_pair(op, db, eb, start, sigma)
+            pairs.append((mu, _mirror(z, d.size, sign)))
     T = (n - 1) * dt / 2.0
     out = []
-    for i in range(count):
+    for i, (mu, x) in enumerate(pairs):
         vec = np.zeros(n)
-        vec[1:-1] = vecs[:, i]
+        vec[1:-1] = x
         nrm = math.sqrt(float(np.sum(vec * vec)))
         vec /= nrm
         if vec[int(np.argmax(np.abs(vec)))] < 0:
             vec = -vec
         vec.setflags(write=False)
-        out.append(EigenReport(k=op.k, mu=float(vals[i]), eigenvector=vec,
+        out.append(EigenReport(k=op.k, mu=mu, eigenvector=vec,
                                truncation=T, dx=dt, index=i))
     return out
 
@@ -289,9 +365,16 @@ def principal_eigenvalue(op: ModeOperator, *,
 def mode_eigenvalues(op: ModeOperator, count: int = 2, *,
                      asymptote_tol: float = 1e-10) -> List[EigenReport]:
     """The ``count`` smallest eigenvalues, ascending (index 1 is the
-    translation zero mode when k = 0)."""
-    if count < 1:
-        raise InvalidStep(f"count must be >= 1, got {count}")
+    translation zero mode when k = 0).
+
+    ``count`` is 1 or 2; any other count is InvalidStep.  One is
+    :func:`principal_eigenvalue`.  Two are the principal eigenvalues of the
+    even and the odd half-size block of the matrix, each solved by the
+    same certified inverse iteration; that needs an even potential on a
+    centred grid, t0 = -(n-1) dt / 2, and any potential with
+    max |V(t) - V(-t)| above SYMMETRY_GATE (1e-12) times max |V| is
+    refused with InvalidStep, its asymmetry in the context.
+    """
     return _solve(op, count, asymptote_tol)
 
 

@@ -258,13 +258,16 @@ def test_fs_curve_bytes_are_pinned(capsys, tmp_path, monkeypatch, N):
     assert (out, err) == (_PINNED_FS_CURVES[N], "")
 
 
-# the spectrum table pinned byte for byte: it solves two eigenpairs by
-# Sturm bisection (stebz), which the principal-only solver must not touch
+# the spectrum table pinned byte for byte: mu1 and mu2 are the principal
+# eigenvalues of the even and the odd half block of the k = 0 operator,
+# each certified by dpttrf shifts.  Sturm bisection (stebz) on the whole
+# matrix printed mu1 = -2.8125146905336442 and mu2 = -4.2188837122072558e-05
+# here, 6.1e-13 and 1.4e-12 away
 _PINNED_SPECTRUM = """k,lambda_k,mu1,mu2
-0,0,-2.8125146905336442,-4.2188837122072558e-05
-1,2,-0.81251469053364422,1.999957811162878
-2,6,3.1874853094663558,5.9999578111628775
-3,12,9.1874853094663553,11.999957811162878
+0,0,-2.8125146905330336,-4.2188835694358498e-05
+1,2,-0.8125146905330336,1.9999578111643057
+2,6,3.1874853094669664,5.9999578111643057
+3,12,9.1874853094669664,11.999957811164306
 """
 
 
@@ -272,6 +275,39 @@ def test_spectrum_bytes_are_pinned(capsys):
     assert main(["spectrum", "--N", "3", "--a=-1", "--b=-0.5",
                  "--kmax", "3"]) == 0
     assert capsys.readouterr() == (_PINNED_SPECTRUM, "")
+
+
+# grids whose 2T/dt is not an integer, and one with an even count of
+# interior nodes.  The table samples the centred grid t0 = -(n-1) dt / 2,
+# which for --dt 0.3 and 0.007 is not the [-T, -T + (n-1) dt] of the
+# stebz solver before it; the last tuple holds that solver's (mu1, mu2)
+_ODD_GRID_SPECTRA = [
+    (["--N", "3", "--a=-1", "--b=-0.5", "--dt", "0.3"],
+     "0,0,-2.825924748128529,-0.039106461400624952\n"
+     "1,2,-0.82592474812852901,1.9608935385993751\n",
+     (-2.8259247481502952, -0.039106461300985773)),
+    (["--N", "3", "--a=-1", "--b=-0.5", "--dt", "0.007"],
+     "0,0,-2.8125071983004828,-2.0672195820595532e-05\n"
+     "1,2,-0.81250719830048279,1.9999793278041793\n",
+     (-2.81250719830452, -2.0672197041927941e-05)),
+    (["--N", "3", "--a=-3", "--b=-2.5", "--T", "10.005", "--dt", "0.01"],
+     "0,0,-15.312935488418493,-0.0012507364214139436\n"
+     "1,2,-13.312935488418493,1.998749263578586\n",
+     (-15.312935488418473, -0.001250736423770369)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, rows, before", _ODD_GRID_SPECTRA,
+    ids=[" ".join(argv) for argv, _, _ in _ODD_GRID_SPECTRA])
+def test_spectrum_on_odd_grids_is_pinned(capsys, argv, rows, before):
+    assert main(["spectrum"] + argv + ["--kmax", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("k,lambda_k,mu1,mu2\n" + rows, "")
+    mu1, mu2 = (float(v) for v in rows.split("\n")[0].split(",")[2:])
+    # the half-step shift of the grid moves mu2 at dt = 0.3 by 1.0e-10
+    assert abs(mu1 - before[0]) <= 1e-10
+    assert abs(mu2 - before[1]) <= 2e-10
 
 
 def test_regionmap_csv_deterministic(tmp_path, capsys):
@@ -670,6 +706,15 @@ _PINNED_ERRORS = [
       "context": {"N": 6, "a": -578.0, "b": -577.1,
                   "gap": 0.00029695449291393226, "gate": 1e-08},
       "message": _IDENTITY_MESSAGE}),
+    # a window too short for the well at --T 10.005, refused before the
+    # solve as by the stebz solver, on an even count of interior nodes
+    (["spectrum", "--N", "3", "--a=-1", "--b=-0.5", "--T", "10.005"],
+     {"code": "tail_not_decayed",
+      "context": {"deviation": 8.197644170593321e-06,
+                  "end_values": [2.2499918023558294, 2.2499918023558294],
+                  "tol": 1e-10},
+      "message": "potential is 8.198e-06 away from its asymptote at the "
+                 "grid ends"}),
     # the spectrum table gets the same limit on its rows, checked before
     # the profile is sampled
     (["spectrum", "--N", "3", "--a=-1", "--b=-0.5", "--kmax", "2001"],

@@ -27,6 +27,7 @@ from ckn_lab import (
     TailNotDecayed,
     UnverifiedProfile,
     WrongRegime,
+    asymptote_window,
     b_fs,
     build_mode_operator,
     extremal_form,
@@ -40,7 +41,7 @@ from ckn_lab import (
     spectrum,
 )
 from ckn_lab import params as params_module
-from ckn_lab.profiles import _log_sech
+from ckn_lab.profiles import _log_sech, window_nodes
 
 
 def _extremal_operator(N, a, b, k, T=40.0, dx=0.01):
@@ -50,12 +51,28 @@ def _extremal_operator(N, a, b, k, T=40.0, dx=0.01):
     return build_mode_operator(prof, k)
 
 
-def _stebz_principal(op):
-    # the reference that shares no code with the principal solver: LAPACK's
+def _stebz_lowest(op, count):
+    # the reference that shares no code with the certified solver: LAPACK's
     # Sturm-count bisection on the same tridiagonal matrix
     d, e = spectrum._tridiagonal(op)
-    return float(scipy.linalg.eigvalsh_tridiagonal(
-        d, e, select="i", select_range=(0, 0), lapack_driver="stebz")[0])
+    return scipy.linalg.eigvalsh_tridiagonal(
+        d, e, select="i", select_range=(0, count - 1), lapack_driver="stebz")
+
+
+def _stebz_principal(op):
+    return float(_stebz_lowest(op, 1)[0])
+
+
+def _residual(op, rep):
+    # ||T x - mu x|| of a reported eigenpair on the interior nodes, relative
+    # to the Gershgorin norm bound of T
+    d, e = spectrum._tridiagonal(op)
+    x = rep.eigenvector[1:-1]
+    tx = d * x
+    tx[:-1] += e * x[1:]
+    tx[1:] += e * x[:-1]
+    norm = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
+    return np.linalg.norm(tx - rep.mu * x) / norm
 
 
 def pt_eigenvalue(params, k, n):
@@ -394,13 +411,7 @@ def test_principal_solve_matches_sturm_bisection(monkeypatch, N):
         assert v[0] == v[-1] == 0.0
         assert np.all(v[1:-1] > 0.0)
         assert np.isclose(np.linalg.norm(v), 1.0, rtol=1e-12)
-        d, e = spectrum._tridiagonal(op)
-        x = v[1:-1]
-        tx = d * x
-        tx[:-1] += e * x[1:]
-        tx[1:] += e * x[:-1]
-        norm = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
-        assert np.linalg.norm(tx - rep.mu * x) <= 1e-8 * norm
+        assert _residual(op, rep) <= 1e-8
 
 
 def test_principal_solve_factors_without_an_eigensolve(monkeypatch):
@@ -505,3 +516,113 @@ def test_threshold_samples_the_extremal_only_at_its_two_ends(monkeypatch):
     assert calls == {"sample_extremal": 2, "build_mode_operator": 2,
                      "residual_autonomous": 2, "fs_mode_eigenvalue": 2,
                      "principal_eigenvalue": 2}
+
+
+def _centred_operator(N, a, b, n, dx=0.01):
+    # the k = 0 operator on the spectrum command's centred grid of n nodes,
+    # t0 = -(n-1) dx / 2
+    params = make_params(N, a, b)
+    prof = sample_extremal(extremal_form(params), -(n - 1) * dx / 2.0, dx, n)
+    return build_mode_operator(prof, 0)
+
+
+def _check_split(op, tol):
+    # both eigenvalues against Sturm bisection on the whole matrix; the
+    # vectors are symmetric and skew, unit, and solve the whole matrix
+    reps = mode_eigenvalues(op, 2, asymptote_tol=math.inf)
+    ref = _stebz_lowest(op, 2)
+    for rep, want, sign in zip(reps, ref, (1.0, -1.0)):
+        assert abs(rep.mu - want) <= tol * max(1.0, abs(want))
+        v = rep.eigenvector
+        assert v[0] == v[-1] == 0.0
+        assert np.array_equal(v, sign * v[::-1])
+        assert np.isclose(np.linalg.norm(v), 1.0, rtol=1e-12)
+        assert _residual(op, rep) <= 1e-8
+    # equal only where the two are degenerate to rounding, as in a double
+    # well whose tunnelling splitting is below an ulp
+    assert reps[0].mu <= reps[1].mu
+
+
+# the spectrum band of the benchmark's point-mix queries: lam = a_c - a in
+# [0.3, 2] and b - a in [0.3, 0.85]
+_POINT_MIX_BAND = [(lam, s) for lam in (0.3, 0.9, 2.0) for s in (0.3, 0.85)]
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_parity_split_matches_sturm_bisection(monkeypatch, N):
+    def refused(*args, **kwargs):
+        raise AssertionError("two eigenvalues called eigh_tridiagonal")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refused)
+    for lam, s in _POINT_MIX_BAND:
+        a = (N - 2) / 2.0 - lam
+        n = window_nodes(asymptote_window(make_params(N, a, a + s)), 0.01)
+        # an odd and an even count of interior nodes
+        for nodes in (n, n + 1):
+            _check_split(_centred_operator(N, a, a + s, nodes), 1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(half=st.lists(st.floats(-50.0, 50.0), min_size=6, max_size=60),
+       odd=st.booleans(), dt=st.sampled_from([0.05, 0.3, 1.0]),
+       end=st.floats(-50.0, 50.0))
+def test_parity_split_on_random_even_potentials(half, odd, dt, end):
+    # any even potential, not only the sech^2 wells of the paper's family:
+    # a random right half, mirrored about a centre node (odd) or between
+    # two nodes (even)
+    right = np.array(half)
+    left = right[:0:-1] if odd else right[::-1]
+    V = np.concatenate(([end], left, right, [end]))
+    n = V.size
+    op = ModeOperator(k=0, lambda_k=0.0, potential=V,
+                      grid=(-(n - 1) * dt / 2.0, dt, n),
+                      params=make_params(3, -1.0, -0.5))
+    _check_split(op, 1e-10)
+
+
+def test_two_eigenvalues_refuse_other_counts():
+    op = _extremal_operator(3, -1.0, -0.5, 0)
+    for count in (0, 3):
+        with pytest.raises(InvalidStep) as info:
+            mode_eigenvalues(op, count)
+        assert info.value.context == {"count": count}
+
+
+def test_two_eigenvalues_refuse_an_off_centre_grid():
+    params = make_params(3, -1.0, -0.5)
+    T, dx = 40.0, 0.01
+    n = window_nodes(T, dx)
+    op = build_mode_operator(
+        sample_extremal(extremal_form(params), -T + 0.3, dx, n), 0)
+    with pytest.raises(InvalidStep) as info:
+        mode_eigenvalues(op, 2)
+    ctx = info.value.context
+    assert ctx["asymmetry"] > 0.1
+    assert ctx == {"asymmetry": ctx["asymmetry"], "gate": 1e-12, "k": 0,
+                   "grid": (-T + 0.3, dx, n)}
+    # one eigenvalue needs no symmetry, and the shift moves it by 2.4e-13
+    assert abs(principal_eigenvalue(op).mu - mode_eigenvalues(
+        _centred_operator(3, -1.0, -0.5, n), 2)[0].mu) < 1e-11
+
+
+def test_two_eigenvalues_refuse_an_asymmetric_potential():
+    op = _centred_operator(3, -1.0, -0.5, 8001)
+    t = op.grid[0] + op.grid[1] * np.arange(op.grid[2])
+
+    def tilted(size):
+        # an odd bump t e^{-t^2}, of height 0.43 at |t| = 0.71, that leaves
+        # the ends at the asymptote
+        return ModeOperator(k=op.k, lambda_k=op.lambda_k,
+                            potential=op.potential + size * t * np.exp(-t * t),
+                            grid=op.grid, params=op.params)
+
+    scale = float(np.max(np.abs(op.potential)))
+    with pytest.raises(InvalidStep) as info:
+        mode_eigenvalues(tilted(1e-3), 2)
+    assert info.value.context["asymmetry"] == pytest.approx(
+        2e-3 * math.exp(-0.5) / math.sqrt(2.0) / scale, rel=1e-3)
+    # an odd part under the gate moves each eigenvalue by at most the
+    # asymmetry (Weyl), well inside the oracle's 1e-10
+    _check_split(tilted(1e-12), 1e-10)
+    with pytest.raises(InvalidStep):
+        mode_eigenvalues(tilted(1e-11), 2)
