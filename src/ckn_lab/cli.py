@@ -10,13 +10,14 @@ single-line JSON on stderr with exit code 2.
 Commands where a quantity with two circulating conventions is computed
 (the threshold-curve sign, the closed-form inner exponent) also write a
 ``discrepancies.json`` artifact recording the printed and the adopted
-variant with freshly computed example values.
+variant with example values computed once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import operator
@@ -137,12 +138,10 @@ def _grid_T(args) -> float:
     return 40.0 if args.T is None else args.T
 
 
-def _write_discrepancies(output_path: Optional[str]) -> None:
-    """Record both circulating conventions with fresh example values."""
-    if output_path:
-        directory = os.path.dirname(os.path.abspath(output_path))
-    else:
-        directory = os.getcwd()
+@functools.cache
+def _discrepancies_text() -> str:
+    """The discrepancies.json document, computed once per process: its
+    example values are fixed, so every build gives the same bytes."""
     params = make_params(3, -1.0, -0.2)
     good = sample_extremal(extremal_form(params), -20.0, 0.01, 4001)
     bad = sample_radial_form(params, (params.p - 1.0) * params.lam,
@@ -172,9 +171,21 @@ def _write_discrepancies(output_path: Optional[str]) -> None:
                         "printed_residual": residual_autonomous(bad)},
         },
     }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write_discrepancies(output_path: Optional[str]) -> None:
+    """Record both circulating conventions with example values computed
+    once per process, in discrepancies.json beside ``output_path`` (or in
+    the working directory); the file is written on every call."""
+    if output_path:
+        directory = os.path.dirname(os.path.abspath(output_path))
+    else:
+        directory = os.getcwd()
+    text = _discrepancies_text()
     target = os.path.join(directory, "discrepancies.json")
     with _writing(target), open(target, "w", newline="") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
 
 
 def _cmd_classify(args) -> int:

@@ -24,15 +24,17 @@ quadratures on windows that cut a profile short.
 
 The dual check of :func:`verify_dual_energy` deliberately abandons the
 shared w-representation (where the two sides are the same integral by
-construction) and integrates both sides in r-coordinates with adaptive
-Gauss-Kronrod quadrature, so the identity is re-derived rather than
-assumed.  For a closed-form profile the r-space integrand is evaluated
-in the log domain with ``math`` scalars, so neither r^{N-1-bp} nor
-e^{-lam t} has to fit in a float on its own.
+construction) and integrates both sides of |x|^{-bp} |u|^p in
+r-coordinates, so the identity is re-derived rather than assumed.  The
+r-space integrand and its Jacobian r are evaluated over numpy arrays in
+the log domain, so neither r^{N-bp} nor e^{-lam t} has to fit in a float
+on its own, and integrated by a pair of Gauss-Legendre rules that halve
+a piece until they agree to 1e-12.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,10 +51,11 @@ from .errors import (
 from .profiles import (
     ExtremalForm,
     LogGridProfile,
+    _lagrange4,
     _log_amplitude,
+    _log_sech,
     dualize_profile,
     extremal_dt_value,
-    to_radial_u,
 )
 from .radial import first_derivative_4
 
@@ -179,71 +182,122 @@ def _check_identity(rep: EnergyReport, params) -> None:
             gap=diff / rep.lp if rep.lp > 0 else None, gate=IDENTITY_GATE)
 
 
-def _lp_r_space(profile: LogGridProfile) -> float:
-    """integral |x|^{-bp} |u|^p dx by adaptive quadrature in r.
+# the r-space check integrates each piece of t = ln r with a 20- and a
+# 40-node Gauss-Legendre rule, and halves a piece while the two differ by
+# more than R_SPACE_RTOL relative, at most MAX_SPLITS times
+R_SPACE_SEGMENT = 2.0
+R_SPACE_RTOL = 1e-12
+MAX_SPLITS = 24
+# pieces per vectorised evaluation: a 4096-piece block holds 2 MiB of
+# nodes, whatever the length of the grid
+_BLOCK = 4096
 
-    The radial line is split into fixed log-width segments so the
-    Gauss-Kronrod rule never faces the full exponential range at once;
-    the segment sum is accumulated in grid order (deterministic).  A
-    closed-form profile is integrated as exp((N-1-bp) t + p ln u) with
-    t = ln r and ln u = -lam t + ln w*(t) taken from the form in ``math``
-    scalars, so the weight and the factor e^{-lam t} never overflow on
-    their own; a profile without a form is interpolated by
-    :func:`to_radial_u`.  Raises NotConverged when a segment misses its
-    tolerance, when the integrand itself leaves the float range, or when
-    a segment is not finite; the integrand's float overflow is typed by
-    those checks, not warned about.
-    """
-    # imported on first use: commands that never integrate in r start
-    # without scipy
-    from scipy.integrate import quad
 
+@functools.cache
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point rule on [-1, 1], built on first
+    use: importing the package does not load numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _r_space_integrand(profile: LogGridProfile):
+    """t -> r^{N-bp} |u(r)|^p at r = e^t over an array, evaluated as
+    exp((N-bp) t + p ln u) with ln u = -lam t + ln |w(t)|, so neither the
+    weight nor e^{-lam t} has to fit in a float on its own.  A closed
+    form supplies ln w*; other profiles are interpolated by the 4-point
+    stencil of :func:`to_radial_u`."""
     p = profile.params
-    expo = p.N - 1.0 - p.b * p.p
+    expo = p.N - p.b * p.p
     form = profile.form
     if form is not None:
-        lam, power = p.lam, p.p
         log_amp = _log_amplitude(form)
-        beta, rate, center = form.sech_power, form.rate, form.center
-        log2 = math.log(2.0)
 
-        def integrand(r: float) -> float:
-            t = math.log(r)
-            ax = abs(rate * (t - center))
-            # ln sech(x) = ln 2 - |x| - ln(1 + e^{-2|x|})
-            ln_u = -lam * t + log_amp + beta * (
-                log2 - ax - math.log1p(math.exp(-2.0 * ax)))
-            return math.exp(expo * t + power * ln_u)
+        def log_w(t):
+            return log_amp + form.sech_power * _log_sech(
+                form.rate * (t - form.center))
     else:
-        def integrand(r: float) -> float:
-            return r ** expo * abs(to_radial_u(profile, r)) ** p.p
+        def log_w(t):
+            pos = (t - profile.t0) / profile.dt
+            return np.log(np.abs(_lagrange4(profile.values, pos)))
 
-    total = 0.0
-    t_edges = np.arange(profile.t0, profile.t_end, 2.0)
-    t_edges = np.append(t_edges, profile.t_end)
-    for ta, tb in zip(t_edges[:-1], t_edges[1:]):
-        # the absolute floor keeps far-tail segments (integrals below
-        # rounding relative to the running total) from chasing pure
-        # relative tolerance; the sweep order is fixed, so deterministic
-        floor = 1e-16 * (1.0 + abs(total))
-        segment = (float(ta), float(tb))
-        try:
-            # full_output returns quad's warning message instead of
-            # printing it
-            with np.errstate(over="ignore", invalid="ignore"):
-                val, _, _, *failure = quad(
-                    integrand, math.exp(ta), math.exp(tb),
-                    epsabs=floor, epsrel=1e-10, limit=200, full_output=1)
-        except OverflowError as exc:
-            raise NotConverged("r-space integrand overflowed the float range",
-                               N=p.N, a=p.a, b=p.b, segment=segment) from exc
-        if failure or not math.isfinite(val):
-            reason = " ".join(failure[0].split()) if failure else "not finite"
-            raise NotConverged("r-space quadrature failed on a segment",
-                               N=p.N, a=p.a, b=p.b, segment=segment,
-                               reason=reason)
-        total += val
-    return surface_measure(p.N) * total
+    def integrand(t):
+        return np.exp(expo * t + p.p * (-p.lam * t + log_w(t)))
+    return integrand
+
+
+def _rule_pair(integrand, lo: np.ndarray, hi: np.ndarray, params):
+    """The 20- and the 40-node value on each piece [lo, hi]; a piece where
+    the integrand is not finite raises NotConverged with that ``segment``."""
+    x20, w20 = _gauss_legendre(20)
+    x40, w40 = _gauss_legendre(40)
+    nodes = np.concatenate([x20, x40])
+    coarse, fine = np.empty(lo.size), np.empty(lo.size)
+    for s in range(0, lo.size, _BLOCK):
+        a, b = lo[s:s + _BLOCK], hi[s:s + _BLOCK]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f = integrand(mid[:, None] + half[:, None] * nodes)
+        bad = ~np.isfinite(f).all(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NotConverged("r-space integrand left the float range",
+                               N=params.N, a=params.a, b=params.b,
+                               segment=(float(a[k]), float(b[k])))
+        coarse[s:s + _BLOCK] = half * (f[:, :20] * w20).sum(axis=1)
+        fine[s:s + _BLOCK] = half * (f[:, 20:] * w40).sum(axis=1)
+    return coarse, fine
+
+
+def _lp_r_space(profile: LogGridProfile) -> float:
+    """integral |x|^{-bp} |u|^p dx by Gauss-Legendre quadrature in t = ln r.
+
+    A closed form is integrated on 2-unit segments in t, so no rule faces
+    the full exponential range at once.  A profile without a form is
+    integrated cell by cell of its grid: its interpolant's slope jumps at
+    every node, where the two rules' difference misjudges the error.  One
+    vectorised pass applies the 20- and the 40-node rule to every piece;
+    the pieces where they differ by more than R_SPACE_RTOL relative, and
+    by more than the absolute floor 1e-16 (1 + |first-pass total|) that
+    keeps far-tail pieces from chasing pure relative tolerance, are
+    halved and integrated again.  The 40-node values are summed in grid
+    order (deterministic).  Raises NotConverged, with the offending
+    ``segment`` in its context, when the integrand leaves the float range
+    or a piece still misses its tolerance after MAX_SPLITS halvings; the
+    integrand's float overflow is typed by those checks, not warned
+    about.
+    """
+    p = profile.params
+    integrand = _r_space_integrand(profile)
+    if profile.form is not None:
+        edges = np.append(
+            np.arange(profile.t0, profile.t_end, R_SPACE_SEGMENT),
+            profile.t_end)
+    else:
+        edges = profile.t()
+    lo, hi = edges[:-1], edges[1:]
+    done_lo, done_val = [], []
+    floor = None
+    for splits in range(MAX_SPLITS + 1):
+        coarse, fine = _rule_pair(integrand, lo, hi, p)
+        if floor is None:
+            floor = 1e-16 * (1.0 + abs(float(fine.sum())))
+        ok = np.abs(fine - coarse) <= np.maximum(R_SPACE_RTOL * fine, floor)
+        done_lo.append(lo[ok])
+        done_val.append(fine[ok])
+        if ok.all():
+            break
+        if splits == MAX_SPLITS:
+            k = int(np.argmin(ok))
+            raise NotConverged("r-space quadrature missed its tolerance on "
+                               "a segment", N=p.N, a=p.a, b=p.b,
+                               segment=(float(lo[k]), float(hi[k])))
+        lo, hi = lo[~ok], hi[~ok]
+        mid = 0.5 * (lo + hi)
+        # the halves of each piece stay next to each other, in grid order
+        lo = np.column_stack([lo, mid]).ravel()
+        hi = np.column_stack([mid, hi]).ravel()
+    vals = np.concatenate(done_val)[np.argsort(np.concatenate(done_lo))]
+    return surface_measure(p.N) * sum(vals.tolist())
 
 
 def verify_dual_energy(profile1: LogGridProfile):

@@ -903,6 +903,22 @@ def _child_env():
                 PYTHONPATH=src + (os.pathsep + inherited if inherited else ""))
 
 
+def test_discrepancies_are_built_once_with_the_same_bytes(capsys, tmp_path,
+                                                         monkeypatch):
+    assert cli._discrepancies_text() == cli._discrepancies_text.__wrapped__()
+    written = []
+    for name, argv in (
+            ("first", ["classify", "--N", "3", "--a=-1", "--b=-0.8"]),
+            ("second", ["extremal", "--N", "3", "--a=-1", "--b=-0.2"])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(argv) == 0
+        written.append((tmp_path / name / "discrepancies.json").read_bytes())
+    capsys.readouterr()
+    assert written[0] == written[1]
+    assert written[0].decode() == cli._discrepancies_text()
+
+
 def test_module_entry_point_writes_discrepancies_to_cwd(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "ckn_lab.cli", "classify",
                            "--N", "3", "--a", "-1", "--b", "-0.8"],
@@ -935,16 +951,22 @@ def test_selftest_prints_one_verdict_per_criterion(capsys, tmp_path,
 
 
 def test_light_commands_run_without_scipy(tmp_path):
-    # only the eigensolve and the r-space quadrature need scipy; the
-    # package must not import it for commands that call neither
+    # only the eigensolve needs scipy; the package must not import it
+    # for commands that never solve, energy's r-space check included.
+    # The check's Gauss-Legendre nodes are built on first use, so the
+    # import does not load numpy.polynomial either
     child = "\n".join([
         "import contextlib, io, sys",
         "import ckn_lab, ckn_lab.cli as cli",
+        "loaded = [m for m in ('scipy', 'numpy.polynomial') if m in sys.modules]",
+        "assert not loaded, loaded",
         "for argv in (",
         "    ['classify', '--N', '3', '--a', '-1', '--b', '-0.8'],",
         "    ['regionmap', '--na', '8', '--nb', '8', '--format', 'svg'],",
         "    ['extremal', '--N', '3', '--a', '-1', '--b', '-0.2'],",
         "    ['shoot', '--N', '3', '--a', '-4.3', '--b', '-4', '--T', '10'],",
+        "    ['energy', '--N', '3', '--a=-1', '--b=-0.5'],",
+        "    ['energy', '--N', '3', '--a=-1', '--b=-0.5', '--format', 'json'],",
         "):",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        assert cli.main(argv) == 0, argv",

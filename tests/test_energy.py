@@ -12,6 +12,7 @@ check each integral on its own, so that an error shared by both sides of
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,10 +37,12 @@ from ckn_lab import (
     hardy_check,
     make_params,
     sample_extremal,
+    sample_radial_form,
     scale_profile,
     shoot_homoclinic,
     surface_measure,
     tail_window,
+    to_radial_u,
     verify_dual_energy,
 )
 from ckn_lab import energy
@@ -233,6 +236,87 @@ def test_dual_energy_zero_profile():
     params = make_params(3, 0.0, 0.0)
     zero = LogGridProfile(t0=-10.0, dt=0.1, values=np.zeros(201), params=params)
     assert verify_dual_energy(zero) == (0.0, 0.0)
+
+
+def quad_lp_r_space(profile):
+    """Test-only oracle of the r-space check: scipy's adaptive quad of
+    r^{N-1-bp} |u(r)|^p dr, piece by piece in order.  A closed form is
+    integrated in the log domain on 2-unit segments of t = ln r; a profile
+    without a form through to_radial_u on each grid cell, where its
+    interpolant is smooth."""
+    p = profile.params
+    expo = p.N - 1.0 - p.b * p.p
+    form = profile.form
+    if form is not None:
+        log_amp = math.log(form.amplitude)
+
+        def integrand(r):
+            t = math.log(r)
+            ax = abs(form.rate * (t - form.center))
+            ln_u = -p.lam * t + log_amp + form.sech_power * (
+                math.log(2.0) - ax - math.log1p(math.exp(-2.0 * ax)))
+            return math.exp(expo * t + p.p * ln_u)
+        edges = np.append(np.arange(profile.t0, profile.t_end, 2.0),
+                          profile.t_end)
+    else:
+        def integrand(r):
+            return r ** expo * abs(to_radial_u(profile, r)) ** p.p
+        edges = profile.t()
+    total = 0.0
+    for ta, tb in zip(edges[:-1], edges[1:]):
+        val, _ = quad(integrand, math.exp(ta), math.exp(tb),
+                      epsabs=1e-16 * (1.0 + abs(total)), epsrel=1e-12,
+                      limit=200)
+        total += val
+    return surface_measure(p.N) * total
+
+
+def _radial_form_profile(N, a, b):
+    params = make_params(N, a, b)
+    return sample_radial_form(params, (params.p - 2.0) * params.lam,
+                              -20.0, 0.05, 801)
+
+
+@pytest.mark.parametrize("N,a,b,sample", [
+    # N = 2..6
+    (2, -0.5, 0.0, decayed_extremal), (3, -1.0, -0.2, decayed_extremal),
+    (4, -0.5, 0.0, decayed_extremal), (5, 0.0, 0.6, decayed_extremal),
+    (6, -1.0, -0.3, decayed_extremal),
+    # a weight past the float range on its own; a > a_c; a steep peak
+    # (gamma = 50); an amplitude near underflow
+    (2, -2.55, -2.35, decayed_extremal), (3, 1.0, 1.5, decayed_extremal),
+    (3, -100.0, -99.5, decayed_extremal), (2, -0.3, 0.5, decayed_extremal),
+    # profiles without a form
+    (3, -1.0, -0.2, _radial_form_profile), (5, 0.0, 0.6, _radial_form_profile),
+])
+def test_r_space_check_matches_quad(N, a, b, sample):
+    prof = sample(N, a, b)
+    for side in (prof, dualize_profile(prof)):
+        got, want = energy._lp_r_space(side), quad_lp_r_space(side)
+        assert abs(got - want) <= 1e-12 * want, (side.params, got, want)
+
+
+def test_r_space_check_refuses_a_non_finite_integrand():
+    params = make_params(3, 0.0, 0.0)
+    huge = LogGridProfile(t0=-10.0, dt=0.1, values=np.full(201, 1e60),
+                          params=params)  # |w|^6 overflows
+    form = extremal_form(params)
+    huge_form = sample_extremal(replace(form, amplitude=1e200), -40.0, 0.01,
+                                8001)
+    for prof, segment in ((huge, (-10.0, -9.9)), (huge_form, (-40.0, -38.0))):
+        with pytest.raises(NotConverged) as info:
+            energy._lp_r_space(prof)
+        assert info.value.context["segment"] == pytest.approx(segment)
+
+
+def test_r_space_check_refuses_a_segment_at_the_split_cap(monkeypatch):
+    prof = decayed_extremal(3, -100.0, -99.5)
+    assert energy._lp_r_space(prof) > 0.0
+    monkeypatch.setattr(energy, "MAX_SPLITS", 0)
+    with pytest.raises(NotConverged) as info:
+        energy._lp_r_space(prof)
+    ta, tb = info.value.context["segment"]
+    assert tb - ta == pytest.approx(2.0)
 
 
 def test_dual_gradient_side_in_r_space():
