@@ -44,8 +44,8 @@ from .errors import (
     WrongRegime,
 )
 from .params import CknParams, make_params
-from .profiles import (ExtremalForm, LogGridProfile, _log_sech,
-                       extremal_form, sample_extremal, window_nodes)
+from .profiles import (ExtremalForm, LogGridProfile, extremal_form,
+                       sample_extremal, window_nodes)
 from .radial import residual_autonomous
 
 __all__ = [
@@ -138,13 +138,12 @@ def _tridiagonal(op: ModeOperator) -> Tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def _refuse_non_finite(op: ModeOperator, d: np.ndarray) -> None:
+def _refuse_non_finite(p: CknParams, k: int, d: np.ndarray) -> None:
     # LAPACK's pivot test d <= 0 is false for NaN, so a non-finite diagonal
     # would pass every inertia test
     if not np.isfinite(d).all():
-        p = op.params
         raise NotConverged("mode operator has a non-finite potential",
-                           N=p.N, a=p.a, b=p.b, k=op.k)
+                           N=p.N, a=p.a, b=p.b, k=k)
 
 
 _PRINCIPAL_MAX_ITER = 60
@@ -311,7 +310,7 @@ def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenRepo
             end_values=(float(V[0]), float(V[-1])),
         )
     d, e = _tridiagonal(op)
-    _refuse_non_finite(op, d)
+    _refuse_non_finite(op.params, op.k, d)
     # the Gershgorin floor of the whole matrix: the blocks' eigenvalues are
     # those of the matrix mirrored from its right half, whose diagonal is
     # drawn from d, so it bounds them too.  A block's own floor would sit
@@ -386,10 +385,11 @@ def _k1_form(params: CknParams) -> ExtremalForm:
 
 
 def _fs_mode_operator(params: CknParams, T: float, dx: float) -> ModeOperator:
-    # the k=1 operator on [-T, T], residual-gated by build_mode_operator
+    # the k=1 operator on the centred grid t0 = -(n-1) dx / 2 of the
+    # bisection steps (_k1_half_grid), residual-gated by build_mode_operator
     form = _k1_form(params)
     n = window_nodes(T, dx)
-    prof = sample_extremal(form, -T, dx, n)
+    prof = sample_extremal(form, -(n - 1) * dx / 2.0, dx, n)
     return build_mode_operator(prof, 1)
 
 
@@ -412,65 +412,65 @@ def fs_mode_eigenvalue(params: CknParams, *, T: float = 40.0,
     return principal_eigenvalue(op, asymptote_tol=math.inf).mu
 
 
-def _positive_definite(op: ModeOperator) -> bool:
-    """Whether the operator's matrix is positive definite, that is, whether
-    its principal eigenvalue is positive.
+def _sech2_tanh(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # sech^2 x and tanh x for x >= 0 from one exponential u = e^{-2x}
+    u = np.exp(-2.0 * x)
+    return 4.0 * u / (1.0 + u) ** 2, (1.0 - u) / (1.0 + u)
 
-    By Sylvester's law of inertia the symmetric tridiagonal matrix has as
-    many negative eigenvalues as its LDL^T factorization has negative
-    pivots, so one O(n) factorization (LAPACK dpttrf, which stops at the
-    first pivot d <= 0) reads the sign without an eigensolve.  NaN passes
-    that pivot test, so a non-finite diagonal is refused first.  The same
-    test at a shifted diagonal certifies each lower bound of the principal
-    solver (:func:`_principal_pair`), which factors directly: a bisection
-    step is one call of this function.
 
-    The operator may come from a sampled profile (build_mode_operator) or
-    from the amplitude-free k=1 potential of a bisection step
-    (:func:`_k1_step_operator`); the test reads only its potential and
-    grid.
+def _k1_half_grid(T: float, dx: float):
+    """(t, diagonal, off-diagonal) of the even half block of the threshold
+    search, built once per threshold: the interior nodes t >= 0 of the
+    centred grid of :func:`_fs_mode_operator`, 2/dx^2 and -1/dx^2 with the
+    centre coupling of :func:`_parity_blocks` (odd interior count: first
+    off-diagonal times sqrt(2); even: -1/dx^2 on the first diagonal)."""
+    m = window_nodes(T, dx) - 2
+    t = dx * (np.arange((m + 1) // 2) + (0.0 if m % 2 else 0.5))
+    diag = np.full(t.size, 2.0 / dx ** 2)
+    off = np.full(t.size - 1, -1.0 / dx ** 2)
+    if m % 2:
+        off[0] *= math.sqrt(2.0)
+    else:
+        diag[0] -= 1.0 / dx ** 2
+    return t, diag, off
+
+
+def _k1_step_positive(params: CknParams, grid) -> bool:
+    """One bisection step: whether the k=1 principal eigenvalue at
+    ``params`` is positive on the grid of :func:`_k1_half_grid`.
+
+    V_1 = lam^2 + (N-1) - (p-1) w*^{p-2} with w*^{p-2} = (p lam^2/2)
+    sech^2(gamma t) needs no amplitude; sech^2 and tanh come from one
+    u = e^{-2 gamma t}.  The relative residual w_tt/w - lam^2 + w^{p-2} =
+    gamma^2 (beta^2 tanh^2 - beta sech^2) - lam^2 + (p lam^2/2) sech^2,
+    even in t, must stay below RESIDUAL_GATE times lam^2 + p lam^2/2
+    (UnverifiedProfile).  V_1 is even and its ground state symmetric, so
+    the whole matrix is positive definite exactly when its even half block
+    is, and by Sylvester's law of inertia exactly when LAPACK dpttrf
+    factors that block (it stops at the first pivot d <= 0).  NaN passes
+    that pivot test, so a non-finite diagonal is NotConverged first.
     """
     # imported on first use: commands that never solve start without scipy
     from scipy.linalg.lapack import dpttrf
 
-    d, e = _tridiagonal(op)
-    _refuse_non_finite(op, d)
-    info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2]
-    return info == 0
-
-
-def _k1_step_operator(params: CknParams, T: float, dx: float) -> ModeOperator:
-    """The k=1 operator of one bisection step, built from the
-    amplitude-free potential.
-
-    w*^{p-2} = (p lam^2/2) sech^2(gamma t) needs neither the amplitude nor
-    a sample of w*, so V_1 = lam^2 + (N-1) - (p-1) w*^{p-2} is built from
-    one sech^2 array on the [-T, T] grid of :func:`_fs_mode_operator`.
-    The same array gates the form: the relative residual
-    w_tt/w - lam^2 + w^{p-2} = gamma^2 (beta^2 tanh^2 - beta sech^2)
-    - lam^2 + (p lam^2/2) sech^2 must stay below RESIDUAL_GATE times
-    lam^2 + p lam^2/2, the size of its terms.
-    """
     form = _k1_form(params)
     beta, gam = form.sech_power, form.rate
     lam2 = params.lam ** 2
     depth = params.p * params.lam * params.lam / 2.0  # max of w*^{p-2}
-    n = window_nodes(T, dx)
-    x = gam * (-T + dx * np.arange(n))
-    sech2 = np.exp(2.0 * _log_sech(x))
-    th = np.tanh(x)
-    res = float(np.max(np.abs(
-        gam * gam * (beta * beta * th * th - beta * sech2) - lam2 + depth * sech2)))
+    t, diag, off = grid
+    sech2, th = _sech2_tanh(gam * t)
+    # the residual grouped by array
+    res = float(np.max(np.abs((gam * beta) ** 2 * th * th
+                              + (depth - gam * gam * beta) * sech2 - lam2)))
     gate = RESIDUAL_GATE * (lam2 + depth)
     if not res <= gate:
         raise UnverifiedProfile(
             f"k=1 potential residual {res:.3e} exceeds the gate {gate:.3e}",
             residual=res, gate=gate,
         )
-    lambda_k = float(params.N - 1)
-    V = lam2 + lambda_k - (params.p - 1.0) * (depth * sech2)
-    return ModeOperator(k=1, lambda_k=lambda_k, potential=V, grid=(-T, dx, n),
-                        params=params)
+    d = diag + (lam2 + (params.N - 1.0) - (params.p - 1.0) * (depth * sech2))
+    _refuse_non_finite(params, 1, d)
+    return dpttrf(d, off, overwrite_d=1)[2] == 0
 
 
 def _fs_window(N: int, a: float, eps: float) -> float:
@@ -517,12 +517,11 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
     upper endpoint has mu = -0.109).  ROADMAP.md's item on building the
     k=1 potential from the log-domain form removes the amplitude cap.
 
-    Only the two endpoints are eigensolved, on the operator of the sampled
-    extremal (:func:`fs_mode_eigenvalue`).  Each bisection step reads the
-    sign alone, from an O(n) LDL^T inertia test (:func:`_positive_definite`)
-    of the amplitude-free potential (p lam^2/2) sech^2(gamma t) on the same
-    grid, gated by its relative residual (:func:`_k1_step_operator`): no
-    step samples the extremal.
+    Only the two endpoints are eigensolved, on the sampled extremal's
+    operator (:func:`fs_mode_eigenvalue`).  Each bisection step reads the
+    sign alone (:func:`_k1_step_positive`) from an LDL^T inertia test of
+    the even half block, the ceil((n-2)/2) nodes t >= 0 of the same
+    centred grid, built once per threshold: no step samples the extremal.
 
     Without ``T`` the grid is [-T, T] with T = :func:`_fs_window` at
     eps = 1e-16, sized from (N, a) alone: the exponential tail 1/kappa of a
@@ -567,8 +566,8 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
     # the ends still eigensolve the sampled operator, because perfbench's
     # traced run expects fs-curve to call build_mode_operator,
     # sample_extremal and residual_autonomous.  Once its _EXPECTED table
-    # drops them, the ROADMAP item on the log-domain k=1 potential moves
-    # the ends onto the step operator and deletes log_amp_cap
+    # drops them, the ROADMAP item on the log-domain k=1 potential solves
+    # the ends on the steps' even half block and deletes log_amp_cap
     lo, hi = a + s_lo, a + s_hi
     f_lo = fs_mode_eigenvalue(make_params(N, a, lo), T=T, dx=dx)
     f_hi = fs_mode_eigenvalue(make_params(N, a, hi), T=T, dx=dx)
@@ -577,9 +576,10 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
             "k=1 eigenvalue does not change sign across the guarded bracket",
             lo=lo, hi=hi, mu_lo=f_lo, mu_hi=f_hi,
         )
+    grid = _k1_half_grid(T, dx)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _positive_definite(_k1_step_operator(make_params(N, a, mid), T, dx)):
+        if _k1_step_positive(make_params(N, a, mid), grid):
             hi = mid
         else:
             lo = mid

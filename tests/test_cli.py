@@ -258,6 +258,25 @@ def test_fs_curve_bytes_are_pinned(capsys, tmp_path, monkeypatch, N):
     assert (out, err) == (_PINNED_FS_CURVES[N], "")
 
 
+# --T 10.005 has an even count (2000) of interior nodes, so the bisection
+# steps factor the even block whose centre coupling sits on the diagonal
+_PINNED_FS_CURVE_EVEN_COUNT = """a,b_fs_closed,b_fs_numeric,abs_err
+-3,-2.1092410250817037,-2.109240474516656,5.5056504777439841e-07
+-2.5,-1.6431989494000636,-1.6431982351242953,7.1427576830984663e-07
+-2,-1.1944175803322663,-1.1944170082122354,5.7212003090612029e-07
+-1.5,-0.77525512860841084,-0.77525450420156372,6.2440684711617678e-07
+-1,-0.40858968733650158,-0.40858910074139115,5.8659511043002155e-07
+"""
+
+
+def test_fs_curve_bytes_are_pinned_at_an_even_interior_count(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["fs-curve", "--N", "3", "--a-min=-3", "--a-max=-1",
+                 "--steps", "5", "--T", "10.005"]) == 0
+    assert capsys.readouterr() == (_PINNED_FS_CURVE_EVEN_COUNT, "")
+
+
 # the spectrum table pinned byte for byte: mu1 and mu2 are the principal
 # eigenvalues of the even and the odd half block of the k = 0 operator,
 # each certified by dpttrf shifts.  Sturm bisection (stebz) on the whole

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckn_lab import (
@@ -42,6 +42,8 @@ from ckn_lab import (
 )
 from ckn_lab import params as params_module
 from ckn_lab.profiles import _log_sech, window_nodes
+
+_sech2_tanh = spectrum._sech2_tanh  # the step's sech^2 source, unpatched
 
 
 def _extremal_operator(N, a, b, k, T=40.0, dx=0.01):
@@ -304,44 +306,47 @@ def test_inertia_bisection_matches_eigensolve_bisection(monkeypatch, N, a):
     assert found == 0.5 * (lo + hi)
 
 
-@settings(max_examples=40)
-@given(N=st.integers(2, 6), lam=st.floats(0.2, 4.0), s=st.floats(0.25, 0.95),
-       offset=st.floats(-1.0, 1.0), decades=st.integers(0, 8))
-def test_inertia_sign_matches_principal_eigenvalue(N, lam, s, offset,
-                                                   decades):
-    a = (N - 2) / 2.0 - lam
-    op = spectrum._fs_mode_operator(make_params(N, a, a + s), 40.0, 0.01)
-    _check_inertia_sign(op, offset * 10.0 ** -decades)
+def _near_threshold(a, offset, decades):
+    # for N = 2..6 and both interior node parities, a k = 1 point whose b
+    # is offset * 10^-decades from the threshold, and its window: the
+    # search's own, an integer T with an odd interior count, or T = 10.005,
+    # whose interior count 2000 is even
+    for N in range(2, 7):
+        params = make_params(N, a, find_fs_threshold(N, a, 1e-6)
+                             + offset * 10.0 ** -decades)
+        yield params, spectrum._fs_window(N, a, 1e-16)
+        yield params, 10.005
 
 
-def _check_inertia_sign(op, target):
-    # shifting the potential by a constant shifts every eigenvalue by it:
-    # move the principal eigenvalue to target, so that the draws reach
-    # down to the sign change
-    shift = target - principal_eigenvalue(
-        op, asymptote_tol=math.inf).mu
-    shifted = ModeOperator(k=op.k, lambda_k=op.lambda_k,
-                           potential=op.potential + shift, grid=op.grid,
-                           params=op.params)
-    mu = principal_eigenvalue(shifted, asymptote_tol=math.inf).mu
-    assume(abs(mu) > 1e-9)
-    assert spectrum._positive_definite(shifted) == (mu > 0.0)
-    # principal_eigenvalue certifies its bounds with dpttrf as well; the
-    # Sturm count of stebz decides the sign independently
-    ref = _stebz_principal(shifted)
-    assert abs(mu - ref) <= 1e-11 * max(1.0, abs(ref))
-    assume(abs(ref) > 1e-9)
-    assert spectrum._positive_definite(shifted) == (ref > 0.0)
+_NEAR_THRESHOLD = dict(a=st.floats(-4.0, -0.2),
+                       offset=st.floats(-0.02, 0.02),
+                       decades=st.integers(0, 8))
 
 
-@settings(max_examples=40)
-@given(N=st.integers(2, 6), lam=st.floats(0.2, 4.0), s=st.floats(0.25, 0.95),
-       offset=st.floats(-1.0, 1.0), decades=st.integers(0, 8))
-def test_inertia_sign_of_the_step_operator(N, lam, s, offset, decades):
-    # the same property on the operator that the bisection steps factor
-    a = (N - 2) / 2.0 - lam
-    op = spectrum._k1_step_operator(make_params(N, a, a + s), 40.0, 0.01)
-    _check_inertia_sign(op, offset * 10.0 ** -decades)
+@settings(max_examples=12)
+@given(**_NEAR_THRESHOLD)
+def test_inertia_sign_matches_principal_eigenvalue(a, offset, decades):
+    # a bisection step and the bracket ends read the same sign: the even
+    # half block's inertia against the certified principal eigenvalue of
+    # the whole sampled operator that the ends solve
+    for params, T in _near_threshold(a, offset, decades):
+        mu = fs_mode_eigenvalue(params, T=T)
+        if abs(mu) > 1e-9:
+            grid = spectrum._k1_half_grid(T, 0.01)
+            assert spectrum._k1_step_positive(params, grid) == (mu > 0.0)
+
+
+@settings(max_examples=12)
+@given(**_NEAR_THRESHOLD)
+def test_inertia_sign_of_the_step_operator(a, offset, decades):
+    # the half block's sign against the Sturm count (stebz) of the whole
+    # sampled k = 1 matrix on the same centred grid, which shares no code
+    # with the dpttrf certificates
+    for params, T in _near_threshold(a, offset, decades):
+        ref = _stebz_principal(spectrum._fs_mode_operator(params, T, 0.01))
+        if abs(ref) > 1e-9:
+            grid = spectrum._k1_half_grid(T, 0.01)
+            assert spectrum._k1_step_positive(params, grid) == (ref > 0.0)
 
 
 def _broken_operator(bad):
@@ -354,10 +359,15 @@ def _broken_operator(bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_inertia_test_rejects_a_non_finite_potential(bad):
-    # LAPACK's pivot test d <= 0 is false for NaN: a NaN potential would
-    # read as positive definite if it reached the factorization
-    with pytest.raises(NotConverged):
-        spectrum._positive_definite(_broken_operator(bad))
+    # LAPACK's pivot test d <= 0 is false for NaN: a NaN entry of the
+    # step's diagonal (kinetic term plus potential) would read as positive
+    # definite if it reached the factorization, and -inf as a failed pivot
+    t, diag, off = spectrum._k1_half_grid(40.0, 0.01)
+    diag = diag.copy()
+    diag[2000] = bad
+    with pytest.raises(NotConverged, match="non-finite potential"):
+        spectrum._k1_step_positive(make_params(3, -1.0, -0.5),
+                                   (t, diag, off))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -443,50 +453,56 @@ def test_principal_solve_factors_without_an_eigensolve(monkeypatch):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_step_potential_matches_sampled_operator(monkeypatch, N):
-    # the step potential is (p-1)(p lam^2/2) sech^2 with no amplitude; on
-    # the grid of the sampled k=1 operator it agrees with (p-1) w*^{p-2}
-    # to rounding, at points across the guarded bracket
+    # the step potential is (p-1)(p lam^2/2) sech^2 with no amplitude, from
+    # the step's own sech^2 on its half grid; there it agrees with
+    # (p-1) w*^{p-2} on the t >= 0 interior nodes of the sampled k=1
+    # operator to rounding, at points across the guarded bracket
+    t = spectrum._k1_half_grid(40.0, 0.01)[0]
     checked = 0
     for a in (-0.3, -3.0, -8.0):
         lo, hi = _guarded_ends(monkeypatch, N, a)
         for b in np.linspace(lo, hi, 9):
             params = make_params(N, a, float(b))
-            step = spectrum._k1_step_operator(params, 40.0, 0.01)
+            sech2 = spectrum._sech2_tanh(extremal_form(params).rate * t)[0]
             depth = (params.p - 1.0) * params.p * params.lam ** 2 / 2.0
-            assert step.k == 1 and step.lambda_k == N - 1
-            assert np.isclose(step.potential.min(), step.asymptote - depth,
-                              rtol=1e-12)
+            asymptote = params.lam ** 2 + N - 1.0
+            step = asymptote - depth * sech2
+            assert np.isclose(step.min(), asymptote - depth, rtol=1e-12)
             if extremal_form(params).amplitude == 0.0:
                 # A = (p lam^2/2)^{1/(p-2)} underflows near p = 2 when
                 # p lam^2/2 < 1: the sampled profile is zero there, and
                 # only the step potential keeps its well
                 continue
             sampled = spectrum._fs_mode_operator(params, 40.0, 0.01)
-            assert step.grid == sampled.grid
-            assert np.max(np.abs(step.potential - sampled.potential)) \
-                <= 1e-13 * depth
+            t0, dt, n = sampled.grid
+            nodes = (t0 + dt * np.arange(n))[-1 - t.size:-1]
+            assert np.max(np.abs(nodes - t)) <= 1e-12
+            half = sampled.potential[-1 - t.size:-1]
+            assert np.max(np.abs(step - half)) <= 1e-13 * depth
             checked += 1
     assert checked >= 20
 
 
-def _scaled_log_sech(x):
+def _scaled_sech2(x):
     # sech^2 off by a relative 2e-6
-    return _log_sech(x) + 1e-6
+    sech2, th = _sech2_tanh(x)
+    return sech2 * (1.0 + 2e-6), th
 
 
-def _nan_log_sech(x):
-    out = _log_sech(x)
-    out[out.size // 2] = math.nan
-    return out
+def _nan_sech2(x):
+    sech2, th = _sech2_tanh(x)
+    sech2[sech2.size // 2] = math.nan
+    return sech2, th
 
 
-@pytest.mark.parametrize("corrupt", [_scaled_log_sech, _nan_log_sech])
+@pytest.mark.parametrize("corrupt", [_scaled_sech2, _nan_sech2])
 def test_step_gate_rejects_a_corrupted_sech2(monkeypatch, corrupt):
     params = make_params(3, -1.0, -0.5)
-    spectrum._k1_step_operator(params, 40.0, 0.01)
-    monkeypatch.setattr(spectrum, "_log_sech", corrupt)
+    grid = spectrum._k1_half_grid(40.0, 0.01)
+    spectrum._k1_step_positive(params, grid)
+    monkeypatch.setattr(spectrum, "_sech2_tanh", corrupt)
     with pytest.raises(UnverifiedProfile):
-        spectrum._k1_step_operator(params, 40.0, 0.01)
+        spectrum._k1_step_positive(params, grid)
     # the ends sample the extremal through profiles and pass; the first
     # bisection step is refused
     with pytest.raises(UnverifiedProfile):
@@ -506,16 +522,100 @@ def test_threshold_samples_the_extremal_only_at_its_two_ends(monkeypatch):
 
     for name in ("sample_extremal", "build_mode_operator",
                  "residual_autonomous", "fs_mode_eigenvalue",
-                 "principal_eigenvalue", "_k1_step_operator",
-                 "_positive_definite"):
+                 "principal_eigenvalue", "_k1_half_grid",
+                 "_k1_step_positive"):
         counting(name)
     find_fs_threshold(4, -2.0, 1e-6)
-    steps = calls.pop("_k1_step_operator")
+    steps = calls.pop("_k1_step_positive")
     assert steps >= 19  # the bracket is wider than 2^19 tol
-    assert calls.pop("_positive_definite") == steps
+    assert calls.pop("_k1_half_grid") == 1
     assert calls == {"sample_extremal": 2, "build_mode_operator": 2,
                      "residual_autonomous": 2, "fs_mode_eigenvalue": 2,
                      "principal_eigenvalue": 2}
+
+
+def _whole_matrix_step(params, T, dx):
+    # the bisection step before the half block: V_1 from exp(2 ln sech) on
+    # all n nodes of [-T, -T + (n-1) dx], and dpttrf on the whole
+    # (n-2)-row matrix
+    form = extremal_form(params)
+    n = window_nodes(T, dx)
+    sech2 = np.exp(2.0 * _log_sech(form.rate * (-T + dx * np.arange(n))))
+    depth = params.p * params.lam * params.lam / 2.0
+    V = params.lam ** 2 + (params.N - 1.0) - (params.p - 1.0) * (depth * sech2)
+    d = 2.0 / dx ** 2 + V[1:-1]
+    assert np.isfinite(d).all()
+    e = np.full(n - 3, -1.0 / dx ** 2)
+    return scipy.linalg.lapack.dpttrf(d, e)[2] == 0
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_half_block_thresholds_match_the_whole_matrix(monkeypatch, N):
+    # the search against the same bisection stepped on the whole matrix,
+    # from the same two ends: at the search's own window (an odd interior
+    # count) and, where tol 1e-3 allows it, at T = 10.005 (an even one)
+    cases = [(a, 1e-6, None) for a in (-0.3, -1.0, -2.5, -4.0, -8.0)]
+    cases += [(a, 1e-3, 10.005) for a in (-1.0, -2.5, -4.0, -8.0)
+              if spectrum._fs_window(N, a, 1e-3) <= 10.005]
+    for a, tol, T in cases:
+        ends = []
+
+        def recording(params, **kwargs):
+            ends.append(params.b)
+            return fs_mode_eigenvalue(params, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "fs_mode_eigenvalue", recording)
+            found = find_fs_threshold(N, a, tol, T=T)
+        window = spectrum._fs_window(N, a, 1e-16) if T is None else T
+        lo, hi = ends
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if _whole_matrix_step(make_params(N, a, mid), window, 0.01):
+                hi = mid
+            else:
+                lo = mid
+        assert found == 0.5 * (lo + hi)
+    assert len(cases) >= 7
+
+
+@pytest.mark.parametrize("N, a, tol, T", [(4, -2.0, 1e-6, None),
+                                          (3, -1.0, 1e-3, 10.005),
+                                          (3, -1.0, 1e-3, 12.3456)])
+def test_each_step_factors_the_half_block(monkeypatch, N, a, tol, T):
+    # with the ends stood in by -1 and +1, every dpttrf call is a step's:
+    # each factors the ceil((n-2)/2) rows of the even half block on the
+    # t >= 0 interior nodes of the ends' centred grid, and no step builds
+    # a ModeOperator.  2T/dx is not an integer at T = 12.3456, where the
+    # centred grid starts at -(n-1) dx / 2 = -12.345, not at -T
+    window = spectrum._fs_window(N, a, 1e-16) if T is None else T
+    n = window_nodes(window, 0.01)
+    t = spectrum._k1_half_grid(window, 0.01)[0]
+    t0, dt, _ = spectrum._fs_mode_operator(make_params(N, a, a + 0.5),
+                                           window, 0.01).grid
+    nodes = t0 + dt * np.arange(n)
+    assert np.max(np.abs(nodes[-1 - t.size:-1] - t)) <= 1e-12
+    rows, built = [], []
+    dpttrf = scipy.linalg.lapack.dpttrf
+
+    def counting(d, e, **kwargs):
+        rows.append(d.size)
+        return dpttrf(d, e, **kwargs)
+
+    def operator(*args, **kwargs):
+        built.append(1)
+        return ModeOperator(*args, **kwargs)
+
+    ends = iter((-1.0, 1.0))
+    monkeypatch.setattr(spectrum, "fs_mode_eigenvalue",
+                        lambda params, **kwargs: next(ends))
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", counting)
+    monkeypatch.setattr(spectrum, "ModeOperator", operator)
+    find_fs_threshold(N, a, tol, T=T)
+    assert (n - 2) % 2 == (0 if T else 1)
+    assert len(rows) >= 9
+    assert rows == [math.ceil((n - 2) / 2)] * len(rows)
+    assert built == []
 
 
 def _centred_operator(N, a, b, n, dx=0.01):
