@@ -115,9 +115,11 @@ def _emit(chunks: Iterable[str], path: Optional[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _print_json(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, default=str,
-                                allow_nan=False) + "\n")
+def _print_json(obj: dict, path: Optional[str] = None) -> None:
+    """Write ``obj`` as one line of standard JSON to ``path``, or to
+    stdout."""
+    _emit([json.dumps(obj, sort_keys=True, default=str, allow_nan=False)
+           + "\n"], path)
 
 
 def _params_dict(p: CknParams) -> dict:
@@ -358,8 +360,7 @@ def _cmd_energy(args) -> int:
             "hardy_ratio": lhs / rep.grad_sq,
             "dual_lp_pair": [lp1, lp2],
         })
-        text = json.dumps(out, sort_keys=True) + "\n"
-        _emit([text], args.out)
+        _print_json(out, args.out)
     else:
         raise _UsageError(f"energy supports csv or json, not {fmt}")
     return 0

@@ -44,8 +44,8 @@ from .errors import (
     WrongRegime,
 )
 from .params import CknParams, make_params
-from .profiles import (ExtremalForm, LogGridProfile, extremal_form,
-                       sample_extremal, window_nodes)
+from .profiles import (LogGridProfile, extremal_form, sample_extremal,
+                       window_nodes)
 from .radial import residual_autonomous
 
 __all__ = [
@@ -129,12 +129,11 @@ def asymptote_window(params: CknParams) -> float:
     return max(40.0, math.ceil((log_dev + 24.5) / (lam * (p - 2.0))))
 
 
-def _tridiagonal(op: ModeOperator) -> Tuple[np.ndarray, np.ndarray]:
+def _tridiagonal(V: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the Dirichlet second-difference matrix
-    of -d^2/dt^2 + V on the interior grid nodes."""
-    _, dt, n = op.grid
-    d = 2.0 / dt ** 2 + op.potential[1:-1]
-    e = np.full(n - 3, -1.0 / dt ** 2)
+    of -d^2/dt^2 + V, V given on the interior grid nodes."""
+    d = 2.0 / dt ** 2 + V
+    e = np.full(V.size - 1, -1.0 / dt ** 2)
     return d, e
 
 
@@ -225,9 +224,9 @@ def _well_start(op: ModeOperator) -> np.ndarray:
 SYMMETRY_GATE = 1e-12
 
 
-def _parity_blocks(op: ModeOperator, d: np.ndarray, e: np.ndarray):
+def _parity_blocks(d: np.ndarray, e: np.ndarray):
     """The even and the odd block of a persymmetric tridiagonal matrix,
-    each as (diagonal, off-diagonal, start).
+    each as (diagonal, off-diagonal).
 
     An even potential makes tridiag(e, d, e) persymmetric, and the
     eigenvectors of a persymmetric Jacobi matrix are alternately symmetric
@@ -242,35 +241,20 @@ def _parity_blocks(op: ModeOperator, d: np.ndarray, e: np.ndarray):
         even count  even: d[h:] with d[h] + e
                     odd:  d[h:] with d[h] - e
 
-    The blocks are read from the right half alone.  If the potential is
-    not exactly even, their eigenvalues are those of the matrix whose left
-    half mirrors its right one, which by Weyl's inequality moves each
-    eigenvalue by at most max |V(t) - V(-t)|.  That asymmetry is refused
-    with InvalidStep above SYMMETRY_GATE times max |V|: an off-centre grid
-    or an odd part of the potential, not rounding (sampled sech^2 wells on
-    centred grids are even to about 1e-14).
+    The blocks are read from the right half alone.  If the matrix is not
+    persymmetric, their eigenvalues are those of the matrix whose left
+    half mirrors its right one; :func:`_solve` refuses an uneven potential
+    before it splits.
     """
-    V = op.potential
-    scale = float(np.max(np.abs(V)))
-    gap = float(np.max(np.abs(V - V[::-1])))
-    asymmetry = gap / scale if scale > 0.0 else gap
-    if not asymmetry <= SYMMETRY_GATE:
-        raise InvalidStep(
-            f"the potential is not even on its grid (asymmetry "
-            f"{asymmetry:.3e}); two eigenvalues need a centred grid and an "
-            f"even potential",
-            asymmetry=asymmetry, gate=SYMMETRY_GATE, k=op.k, grid=op.grid)
-    start = _well_start(op)
     c = d.size // 2
     if d.size % 2:
         e_even = e[c:].copy()
         e_even[0] *= math.sqrt(2.0)
-        return ((d[c:], e_even, start[c:].copy()),
-                (d[c + 1:], e[c + 1:], start[c + 1:]))
+        return (d[c:], e_even), (d[c + 1:], e[c + 1:])
     d_even, d_odd = d[c:].copy(), d[c:].copy()
     d_even[0] += e[c - 1]
     d_odd[0] -= e[c - 1]
-    return (d_even, e[c:], start[c:].copy()), (d_odd, e[c:], start[c:])
+    return (d_even, e[c:]), (d_odd, e[c:])
 
 
 def _mirror(z: np.ndarray, m: int, sign: float) -> np.ndarray:
@@ -295,8 +279,12 @@ def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenRepo
     Two are the principal pairs of its even and odd half-size blocks
     (:func:`_parity_blocks`), each certified the same way: the ground
     state is symmetric and the second eigenvector skew, so neither needs
-    deflation or a Sturm count.  That split needs an even potential, so
-    two eigenpairs of any other operator are refused with InvalidStep.
+    deflation or a Sturm count.  The blocks are read from the right half,
+    which by Weyl's inequality moves each eigenvalue by at most
+    max |V(t) - V(-t)|.  That asymmetry is refused with InvalidStep above
+    SYMMETRY_GATE times max |V|: an off-centre grid or an odd part of the
+    potential, not rounding (sampled sech^2 wells on centred grids are even
+    to about 1e-14).
     """
     if count not in (1, 2):
         raise InvalidStep(f"count must be 1 or 2, got {count}", count=count)
@@ -309,7 +297,7 @@ def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenRepo
             deviation=dev, tol=asymptote_tol,
             end_values=(float(V[0]), float(V[-1])),
         )
-    d, e = _tridiagonal(op)
+    d, e = _tridiagonal(V[1:-1], dt)
     _refuse_non_finite(op.params, op.k, d)
     # the Gershgorin floor of the whole matrix: the blocks' eigenvalues are
     # those of the matrix mirrored from its right half, whose diagonal is
@@ -319,10 +307,22 @@ def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenRepo
     if count == 1:
         pairs = [_principal_pair(op, d, e, _well_start(op), sigma)]
     else:
+        scale = float(np.max(np.abs(V)))
+        gap = float(np.max(np.abs(V - V[::-1])))
+        asymmetry = gap / scale if scale > 0.0 else gap
+        if not asymmetry <= SYMMETRY_GATE:
+            raise InvalidStep(
+                f"the potential is not even on its grid (asymmetry "
+                f"{asymmetry:.3e}); two eigenvalues need a centred grid and "
+                f"an even potential",
+                asymmetry=asymmetry, gate=SYMMETRY_GATE, k=op.k, grid=op.grid)
+        # the even block's start is a copy: both blocks overwrite theirs
+        start, c = _well_start(op), d.size // 2
+        starts = (start[c:].copy(), start[c + d.size % 2:])
         pairs = []
-        blocks = _parity_blocks(op, d, e)
-        for sign, (db, eb, start) in zip((1.0, -1.0), blocks):
-            mu, z = _principal_pair(op, db, eb, start, sigma)
+        for sign, (db, eb), x in zip((1.0, -1.0), _parity_blocks(d, e),
+                                     starts):
+            mu, z = _principal_pair(op, db, eb, x, sigma)
             pairs.append((mu, _mirror(z, d.size, sign)))
     T = (n - 1) * dt / 2.0
     out = []
@@ -377,19 +377,15 @@ def mode_eigenvalues(op: ModeOperator, count: int = 2, *,
     return _solve(op, count, asymptote_tol)
 
 
-def _k1_form(params: CknParams) -> ExtremalForm:
-    if params.lam <= 0:
-        raise WrongRegime("k=1 criterion applies below the critical weight",
-                          a=params.a, a_c=params.a_c)
-    return extremal_form(params)  # raises DegenerateParams at p <= 2
-
-
 def _fs_mode_operator(params: CknParams, T: float, dx: float) -> ModeOperator:
     # the k=1 operator on the centred grid t0 = -(n-1) dx / 2 of the
     # bisection steps (_k1_half_grid), residual-gated by build_mode_operator
-    form = _k1_form(params)
+    if params.lam <= 0:
+        raise WrongRegime("k=1 criterion applies below the critical weight",
+                          a=params.a, a_c=params.a_c)
     n = window_nodes(T, dx)
-    prof = sample_extremal(form, -(n - 1) * dx / 2.0, dx, n)
+    # extremal_form raises DegenerateParams at p <= 2
+    prof = sample_extremal(extremal_form(params), -(n - 1) * dx / 2.0, dx, n)
     return build_mode_operator(prof, 1)
 
 
@@ -421,18 +417,12 @@ def _sech2_tanh(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _k1_half_grid(T: float, dx: float):
     """(t, diagonal, off-diagonal) of the even half block of the threshold
     search, built once per threshold: the interior nodes t >= 0 of the
-    centred grid of :func:`_fs_mode_operator`, 2/dx^2 and -1/dx^2 with the
-    centre coupling of :func:`_parity_blocks` (odd interior count: first
-    off-diagonal times sqrt(2); even: -1/dx^2 on the first diagonal)."""
+    centred grid of :func:`_fs_mode_operator`, and the even block
+    (:func:`_parity_blocks`) of the kinetic matrix (:func:`_tridiagonal`
+    of a zero potential) on the whole interior."""
     m = window_nodes(T, dx) - 2
     t = dx * (np.arange((m + 1) // 2) + (0.0 if m % 2 else 0.5))
-    diag = np.full(t.size, 2.0 / dx ** 2)
-    off = np.full(t.size - 1, -1.0 / dx ** 2)
-    if m % 2:
-        off[0] *= math.sqrt(2.0)
-    else:
-        diag[0] -= 1.0 / dx ** 2
-    return t, diag, off
+    return (t,) + _parity_blocks(*_tridiagonal(np.zeros(m), dx))[0]
 
 
 def _k1_step_positive(params: CknParams, grid) -> bool:
@@ -440,11 +430,12 @@ def _k1_step_positive(params: CknParams, grid) -> bool:
     ``params`` is positive on the grid of :func:`_k1_half_grid`.
 
     V_1 = lam^2 + (N-1) - (p-1) w*^{p-2} with w*^{p-2} = (p lam^2/2)
-    sech^2(gamma t) needs no amplitude; sech^2 and tanh come from one
-    u = e^{-2 gamma t}.  The relative residual w_tt/w - lam^2 + w^{p-2} =
-    gamma^2 (beta^2 tanh^2 - beta sech^2) - lam^2 + (p lam^2/2) sech^2,
-    even in t, must stay below RESIDUAL_GATE times lam^2 + p lam^2/2
-    (UnverifiedProfile).  V_1 is even and its ground state symmetric, so
+    sech^2(gamma t) needs no amplitude: beta = 2/(p-2) and
+    gamma = lam (p-2)/2 come from (p, lam), which the search keeps at
+    lam > 0 and p > 2, and sech^2 and tanh from one u = e^{-2 gamma t}.
+    The relative residual w_tt/w - lam^2 + w^{p-2} = gamma^2 (beta^2
+    tanh^2 - beta sech^2) - lam^2 + (p lam^2/2) sech^2, even in t, must
+    stay below RESIDUAL_GATE times lam^2 + p lam^2/2 (UnverifiedProfile).  V_1 is even and its ground state symmetric, so
     the whole matrix is positive definite exactly when its even half block
     is, and by Sylvester's law of inertia exactly when LAPACK dpttrf
     factors that block (it stops at the first pivot d <= 0).  NaN passes
@@ -453,8 +444,9 @@ def _k1_step_positive(params: CknParams, grid) -> bool:
     # imported on first use: commands that never solve start without scipy
     from scipy.linalg.lapack import dpttrf
 
-    form = _k1_form(params)
-    beta, gam = form.sech_power, form.rate
+    # the same float operations as extremal_form's
+    beta = 2.0 / (params.p - 2.0)
+    gam = params.lam * (params.p - 2.0) / 2.0
     lam2 = params.lam ** 2
     depth = params.p * params.lam * params.lam / 2.0  # max of w*^{p-2}
     t, diag, off = grid
@@ -514,8 +506,9 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
     negative, and the search fails with NoSignChange.  On a 0.25 grid in
     a that happens for a <= -10.75 at N = 2, -13.75 at N = 3, -16 at
     N = 4, -17.75 at N = 5 and -19.25 at N = 6 (at N = 2, a = -11 the
-    upper endpoint has mu = -0.109).  ROADMAP.md's item on building the
-    k=1 potential from the log-domain form removes the amplitude cap.
+    upper endpoint has mu = -0.109).  ROADMAP.md's item 2, "Thresholds
+    as pure inertia searches over the whole a < 0 half-plane", removes
+    the amplitude cap.
 
     Only the two endpoints are eigensolved, on the sampled extremal's
     operator (:func:`fs_mode_eigenvalue`).  Each bisection step reads the
@@ -566,8 +559,8 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
     # the ends still eigensolve the sampled operator, because perfbench's
     # traced run expects fs-curve to call build_mode_operator,
     # sample_extremal and residual_autonomous.  Once its _EXPECTED table
-    # drops them, the ROADMAP item on the log-domain k=1 potential solves
-    # the ends on the steps' even half block and deletes log_amp_cap
+    # drops them, ROADMAP item 2 (thresholds as pure inertia searches)
+    # solves the ends on the steps' even half block and deletes log_amp_cap
     lo, hi = a + s_lo, a + s_hi
     f_lo = fs_mode_eigenvalue(make_params(N, a, lo), T=T, dx=dx)
     f_hi = fs_mode_eigenvalue(make_params(N, a, hi), T=T, dx=dx)

@@ -224,8 +224,9 @@ def test_fs_curve_rows_and_determinism(capsys, tmp_path, monkeypatch):
 
 # fs-curve CSVs pinned byte for byte: the bisection steps factor the
 # amplitude-free k=1 potential and must take the decisions that the sampled
-# operator takes.  Moving the bracket ends onto that potential (ROADMAP, the
-# log-domain k=1 item) changes these bytes on purpose
+# operator takes.  Moving the bracket ends onto that potential (ROADMAP
+# item 2, thresholds as pure inertia searches) changes these bytes on
+# purpose.  Every N in 2..6 is pinned at the default window
 _PINNED_FS_CURVES = {
     2: """a,b_fs_closed,b_fs_numeric,abs_err
 -4,-3.0298574998546681,-3.029857482066789,1.7787879169617327e-08
@@ -233,11 +234,23 @@ _PINNED_FS_CURVES = {
 -2.333333333333333,-1.4141883033152753,-1.414187972080196,3.3123507936494434e-07
 -1.5,-0.66794970566215628,-0.66794992274247333,2.1708031705536257e-07
 """,
+    3: """a,b_fs_closed,b_fs_numeric,abs_err
+-4,-3.069002861991414,-3.0690031232614041,2.6126999008724283e-07
+-3.1666666666666665,-2.2671549326947145,-2.2671550281329953,9.5438280833803901e-08
+-2.333333333333333,-1.4912280701754383,-1.4912274655168973,6.0465854101465766e-07
+-1.5,-0.77525512860841084,-0.77525450420156372,6.2440684711617678e-07
+""",
     4: """a,b_fs_closed,b_fs_numeric,abs_err
 -4,-3.1101776349538639,-3.1101768404412602,7.9451260370788646e-07
 -3.1666666666666665,-2.3198745287838722,-2.3198740600157928,4.6876807946460985e-07
 -2.333333333333333,-1.5586203145011055,-1.5586195757680015,7.3873310402206016e-07
 -1.5,-0.85601012694642709,-0.85600921510459926,9.1184182782200196e-07
+""",
+    5: """a,b_fs_closed,b_fs_numeric,abs_err
+-4,-3.1505164412789073,-3.1505155373894578,9.0388944951058647e-07
+-3.1666666666666665,-2.3688040916215223,-2.3688031508205212,9.4080100110360831e-07
+-2.333333333333333,-1.6168712179196967,-1.6168700453424427,1.1725772539605828e-06
+-1.5,-0.91987426415539053,-0.91987165377463631,2.610380754219932e-06
 """,
     6: """a,b_fs_closed,b_fs_numeric,abs_err
 -4,-3.1888722860050907,-3.1888706038591286,1.6821459620786072e-06

@@ -56,7 +56,7 @@ def _extremal_operator(N, a, b, k, T=40.0, dx=0.01):
 def _stebz_lowest(op, count):
     # the reference that shares no code with the certified solver: LAPACK's
     # Sturm-count bisection on the same tridiagonal matrix
-    d, e = spectrum._tridiagonal(op)
+    d, e = spectrum._tridiagonal(op.potential[1:-1], op.grid[1])
     return scipy.linalg.eigvalsh_tridiagonal(
         d, e, select="i", select_range=(0, count - 1), lapack_driver="stebz")
 
@@ -68,7 +68,7 @@ def _stebz_principal(op):
 def _residual(op, rep):
     # ||T x - mu x|| of a reported eigenpair on the interior nodes, relative
     # to the Gershgorin norm bound of T
-    d, e = spectrum._tridiagonal(op)
+    d, e = spectrum._tridiagonal(op.potential[1:-1], op.grid[1])
     x = rep.eigenvector[1:-1]
     tx = d * x
     tx[:-1] += e * x[1:]
@@ -520,7 +520,7 @@ def test_threshold_samples_the_extremal_only_at_its_two_ends(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(spectrum, name, wrapper)
 
-    for name in ("sample_extremal", "build_mode_operator",
+    for name in ("extremal_form", "sample_extremal", "build_mode_operator",
                  "residual_autonomous", "fs_mode_eigenvalue",
                  "principal_eigenvalue", "_k1_half_grid",
                  "_k1_step_positive"):
@@ -529,9 +529,9 @@ def test_threshold_samples_the_extremal_only_at_its_two_ends(monkeypatch):
     steps = calls.pop("_k1_step_positive")
     assert steps >= 19  # the bracket is wider than 2^19 tol
     assert calls.pop("_k1_half_grid") == 1
-    assert calls == {"sample_extremal": 2, "build_mode_operator": 2,
-                     "residual_autonomous": 2, "fs_mode_eigenvalue": 2,
-                     "principal_eigenvalue": 2}
+    assert calls == {"extremal_form": 2, "sample_extremal": 2,
+                     "build_mode_operator": 2, "residual_autonomous": 2,
+                     "fs_mode_eigenvalue": 2, "principal_eigenvalue": 2}
 
 
 def _whole_matrix_step(params, T, dx):
@@ -587,7 +587,9 @@ def test_each_step_factors_the_half_block(monkeypatch, N, a, tol, T):
     # each factors the ceil((n-2)/2) rows of the even half block on the
     # t >= 0 interior nodes of the ends' centred grid, and no step builds
     # a ModeOperator.  2T/dx is not an integer at T = 12.3456, where the
-    # centred grid starts at -(n-1) dx / 2 = -12.345, not at -T
+    # centred grid starts at -(n-1) dx / 2 = -12.345, not at -T.  Each
+    # factored block is the even parity block of the sampled operator
+    # that an end eigensolves, at the step's b
     window = spectrum._fs_window(N, a, 1e-16) if T is None else T
     n = window_nodes(window, 0.01)
     t = spectrum._k1_half_grid(window, 0.01)[0]
@@ -595,12 +597,17 @@ def test_each_step_factors_the_half_block(monkeypatch, N, a, tol, T):
                                            window, 0.01).grid
     nodes = t0 + dt * np.arange(n)
     assert np.max(np.abs(nodes[-1 - t.size:-1] - t)) <= 1e-12
-    rows, built = [], []
+    blocks, steps, built = [], [], []
     dpttrf = scipy.linalg.lapack.dpttrf
+    step_positive = spectrum._k1_step_positive
 
     def counting(d, e, **kwargs):
-        rows.append(d.size)
+        blocks.append((d.copy(), e.copy()))  # dpttrf overwrites d
         return dpttrf(d, e, **kwargs)
+
+    def stepping(params, grid):
+        steps.append(params.b)
+        return step_positive(params, grid)
 
     def operator(*args, **kwargs):
         built.append(1)
@@ -610,12 +617,21 @@ def test_each_step_factors_the_half_block(monkeypatch, N, a, tol, T):
     monkeypatch.setattr(spectrum, "fs_mode_eigenvalue",
                         lambda params, **kwargs: next(ends))
     monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", counting)
+    monkeypatch.setattr(spectrum, "_k1_step_positive", stepping)
     monkeypatch.setattr(spectrum, "ModeOperator", operator)
     find_fs_threshold(N, a, tol, T=T)
+    monkeypatch.undo()
     assert (n - 2) % 2 == (0 if T else 1)
-    assert len(rows) >= 9
-    assert rows == [math.ceil((n - 2) / 2)] * len(rows)
+    assert len(blocks) >= 9
+    assert len(steps) == len(blocks)
+    assert [d.size for d, _ in blocks] == [math.ceil((n - 2) / 2)] * len(blocks)
     assert built == []
+    for b, (d, e) in zip(steps, blocks):
+        op = spectrum._fs_mode_operator(make_params(N, a, b), window, 0.01)
+        d_end, e_end = spectrum._parity_blocks(
+            *spectrum._tridiagonal(op.potential[1:-1], op.grid[1]))[0]
+        assert e.tobytes() == e_end.tobytes()
+        assert np.max(np.abs(d - d_end) / np.abs(d_end)) <= 1e-12
 
 
 def _centred_operator(N, a, b, n, dx=0.01):
