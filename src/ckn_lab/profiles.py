@@ -315,12 +315,13 @@ def dualize_profile(profile: LogGridProfile) -> LogGridProfile:
         i = int(round(f * (n - 1)))
         t = profile.t0 + i * profile.dt
         w = float(profile.values[i])
-        lhs = math.exp(-(p1.a + p1.lam) * t) * w   # r^{-a1} u1 at r = e^t
-        rhs = math.exp(-(p2.a + p2.lam) * t) * w   # r^{-a2} u2 at r = e^t
-        if abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs), 1e-300):
+        # r^{-a_i} u_i = e^{x_i} w at r = e^t share w: their relative gap
+        # 1 - e^{-|x1 - x2|} is read in the log domain, where e^{x_i} overflows
+        log_lhs, log_rhs = -(p1.a + p1.lam) * t, -(p2.a + p2.lam) * t
+        if w != 0.0 and -math.expm1(-abs(log_lhs - log_rhs)) > 1e-12:
             raise DualCheckFailed(
                 "r-space identity |x|^{-a1} u1 = |x|^{-a2} u2 failed",
-                t=t, lhs=lhs, rhs=rhs,
+                t=t, w=w, log_lhs=log_lhs, log_rhs=log_rhs,
             )
     return dual
 

@@ -149,13 +149,13 @@ _PRINCIPAL_MAX_ITER = 60
 _SHIFT_TRIES = 4
 
 
-def _principal_pair(op: ModeOperator, d: np.ndarray, e: np.ndarray,
+def _principal_pair(k: int, d: np.ndarray, e: np.ndarray,
                     x: np.ndarray, sigma: float) -> Tuple[float, np.ndarray]:
     """Smallest eigenvalue mu_1 and its unit eigenvector of the tridiagonal
     matrix T = tridiag(e, d, e), by inverse iteration with shifts from
     below, from the first shift ``sigma`` and the positive start ``x``
-    (overwritten).  T is the whole matrix of an operator or one of its
-    parity blocks (:func:`_parity_blocks`).
+    (overwritten).  T is the whole matrix of the level-k operator or one of
+    its parity blocks (:func:`_parity_blocks`).
 
     Every shift sigma is certified to lie below mu_1 by a successful
     LDL^T factorization of T - sigma I (dpttrf; Sylvester's law of
@@ -186,7 +186,7 @@ def _principal_pair(op: ModeOperator, d: np.ndarray, e: np.ndarray,
     lu = factor(sigma)
     if lu is None:
         raise NotConverged("no positive definite shift at the Gershgorin bound",
-                           k=op.k, shift=sigma)
+                           k=k, shift=sigma)
     for _ in range(_PRINCIPAL_MAX_ITER):
         x = dpttrs(lu[0], lu[1], x, overwrite_b=1)[0]
         x /= np.linalg.norm(x)
@@ -207,7 +207,7 @@ def _principal_pair(op: ModeOperator, d: np.ndarray, e: np.ndarray,
             step *= 0.5
     raise NotConverged(
         f"principal eigenpair not certified in {_PRINCIPAL_MAX_ITER} iterations",
-        k=op.k, lower=sigma, upper=mu)
+        k=k, lower=sigma, upper=mu)
 
 
 def _well_start(op: ModeOperator) -> np.ndarray:
@@ -305,7 +305,7 @@ def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenRepo
     # (sqrt 2 - 1) / dt^2 lower, past the even block's sqrt(2) entry
     sigma = float(np.min(d)) - 2.0 * float(np.max(np.abs(e)))
     if count == 1:
-        pairs = [_principal_pair(op, d, e, _well_start(op), sigma)]
+        pairs = [_principal_pair(op.k, d, e, _well_start(op), sigma)]
     else:
         scale = float(np.max(np.abs(V)))
         gap = float(np.max(np.abs(V - V[::-1])))
@@ -322,7 +322,7 @@ def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenRepo
         pairs = []
         for sign, (db, eb), x in zip((1.0, -1.0), _parity_blocks(d, e),
                                      starts):
-            mu, z = _principal_pair(op, db, eb, x, sigma)
+            mu, z = _principal_pair(op.k, db, eb, x, sigma)
             pairs.append((mu, _mirror(z, d.size, sign)))
     T = (n - 1) * dt / 2.0
     out = []
@@ -425,9 +425,9 @@ def _k1_half_grid(T: float, dx: float):
     return (t,) + _parity_blocks(*_tridiagonal(np.zeros(m), dx))[0]
 
 
-def _k1_step_positive(params: CknParams, grid) -> bool:
-    """One bisection step: whether the k=1 principal eigenvalue at
-    ``params`` is positive on the grid of :func:`_k1_half_grid`.
+def _k1_half_block(params: CknParams, grid):
+    """(diagonal, off-diagonal) of the even half block of the k=1 matrix at
+    ``params`` on the grid of :func:`_k1_half_grid`.
 
     V_1 = lam^2 + (N-1) - (p-1) w*^{p-2} with w*^{p-2} = (p lam^2/2)
     sech^2(gamma t) needs no amplitude: beta = 2/(p-2) and
@@ -435,15 +435,9 @@ def _k1_step_positive(params: CknParams, grid) -> bool:
     lam > 0 and p > 2, and sech^2 and tanh from one u = e^{-2 gamma t}.
     The relative residual w_tt/w - lam^2 + w^{p-2} = gamma^2 (beta^2
     tanh^2 - beta sech^2) - lam^2 + (p lam^2/2) sech^2, even in t, must
-    stay below RESIDUAL_GATE times lam^2 + p lam^2/2 (UnverifiedProfile).  V_1 is even and its ground state symmetric, so
-    the whole matrix is positive definite exactly when its even half block
-    is, and by Sylvester's law of inertia exactly when LAPACK dpttrf
-    factors that block (it stops at the first pivot d <= 0).  NaN passes
-    that pivot test, so a non-finite diagonal is NotConverged first.
+    stay below RESIDUAL_GATE times lam^2 + p lam^2/2 (UnverifiedProfile),
+    and a non-finite diagonal is NotConverged.
     """
-    # imported on first use: commands that never solve start without scipy
-    from scipy.linalg.lapack import dpttrf
-
     # the same float operations as extremal_form's
     beta = 2.0 / (params.p - 2.0)
     gam = params.lam * (params.p - 2.0) / 2.0
@@ -462,7 +456,23 @@ def _k1_step_positive(params: CknParams, grid) -> bool:
         )
     d = diag + (lam2 + (params.N - 1.0) - (params.p - 1.0) * (depth * sech2))
     _refuse_non_finite(params, 1, d)
-    return dpttrf(d, off, overwrite_d=1)[2] == 0
+    return d, off
+
+
+def _k1_step_positive(params: CknParams, grid) -> bool:
+    """One bisection step: whether the k=1 principal eigenvalue at
+    ``params`` is positive on the grid of :func:`_k1_half_grid`.
+
+    V_1 is even and its ground state symmetric, so the whole matrix is
+    positive definite exactly when its even half block
+    (:func:`_k1_half_block`, which refuses the NaN that passes the pivot
+    test) is, and by Sylvester's law of inertia exactly when LAPACK dpttrf
+    factors that block (it stops at the first pivot d <= 0).
+    """
+    # imported on first use: commands that never solve start without scipy
+    from scipy.linalg.lapack import dpttrf
+
+    return dpttrf(*_k1_half_block(params, grid), overwrite_d=1)[2] == 0
 
 
 def _fs_window(N: int, a: float, eps: float) -> float:
@@ -494,27 +504,22 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
     """Locate the symmetry-breaking threshold by sign bisection in b.
 
     Bisects the sign of the k=1 principal eigenvalue over b in (a, a+1).
-    The bracket endpoints are guarded: near b = a the potential well can
-    become narrower than the grid resolves (binding for N = 2, where
-    p -> infinity), and near b = a+1 the extremal amplitude overflows
-    (p -> 2).  Raises NoSignChange with the endpoint eigenvalues when the
-    guarded endpoints do not straddle a sign change, which is what the
-    rejected sign convention of the closed-form curve would produce.
+    The lower end is guarded where the well becomes narrower than the grid
+    resolves (binding for N = 2, where p -> infinity); the upper end sits
+    at p - 2 = 1e-9.  Raises NoSignChange with both end eigenvalues when
+    the ends do not straddle a sign change, which is what the rejected
+    sign convention of the closed-form curve would produce.
 
-    The upper guard does not stay clear of the threshold at large |a|:
-    there it falls below the threshold, both endpoint eigenvalues are
-    negative, and the search fails with NoSignChange.  On a 0.25 grid in
-    a that happens for a <= -10.75 at N = 2, -13.75 at N = 3, -16 at
-    N = 4, -17.75 at N = 5 and -19.25 at N = 6 (at N = 2, a = -11 the
-    upper endpoint has mu = -0.109).  ROADMAP.md's item 2, "Thresholds
-    as pure inertia searches over the whole a < 0 half-plane", removes
-    the amplitude cap.
-
-    Only the two endpoints are eigensolved, on the sampled extremal's
-    operator (:func:`fs_mode_eigenvalue`).  Each bisection step reads the
-    sign alone (:func:`_k1_step_positive`) from an LDL^T inertia test of
-    the even half block, the ceil((n-2)/2) nodes t >= 0 of the same
-    centred grid, built once per threshold: no step samples the extremal.
+    Every step and the upper end read the sign alone
+    (:func:`_k1_step_positive`) from an LDL^T inertia test of the even
+    half block, the ceil((n-2)/2) nodes t >= 0 of the centred grid, built
+    once per threshold; that potential never forms the amplitude, which
+    overflows at the upper end.  Only the lower end is eigensolved, on the
+    sampled extremal's operator (:func:`fs_mode_eigenvalue`), because
+    perfbench's traced fs-curve run expects its five calls until ROADMAP
+    item 1 drops them.  That amplitude is the one limit left: it
+    overflows at about a <= -2,000 (DegenerateParams).  Only a refusal
+    eigensolves the upper end, on its half block, for ``mu_hi``.
 
     Without ``T`` the grid is [-T, T] with T = :func:`_fs_window` at
     eps = 1e-16, sized from (N, a) alone: the exponential tail 1/kappa of a
@@ -522,9 +527,7 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
     |a|.  That is T = 37 at N = 2 near a = 0, 27 at (2, -1) and 6 at
     (6, -10).  Thresholds are bit-identical to T = 40 on 220 points
     (N = 2..6, 40 values of a in [-10, -0.05], and -0.01, -0.2, -9.9 and
-    -15, where both raise the same NoSignChange) and on the 456
-    thresholds of the benchmark's fs-curve requests (seeds 1-8, 3 cycles
-    each).  A window from kappa alone moved the threshold by 5e-6 at
+    -15).  A window from kappa alone moved the threshold by 5e-6 at
     N = 2, a = -10.  An explicit ``T`` shorter than :func:`_fs_window` at
     eps = tol is refused with InvalidStep: Dirichlet walls that close
     lift the eigenvalue and move the sign change by more than tol.
@@ -550,26 +553,21 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
                 f"well needs at tol {tol}", T=T, window=need, N=N, a=a)
 
     s_lo = max(1e-6, _pm2_to_gap(N, 0.4 / (lam * dx)))
-    log_amp_cap = math.log(max(2.0 * lam * lam, 1.0 + 1e-9)) / 600.0
-    s_hi = min(1.0 - 1e-6, _pm2_to_gap(N, max(log_amp_cap, 1e-12)))
+    s_hi = _pm2_to_gap(N, 1e-9)
     if not (s_lo < s_hi):
         raise NoSignChange("guarded bracket is empty",
                            s_lo=s_lo, s_hi=s_hi, N=N, a=a)
-
-    # the ends still eigensolve the sampled operator, because perfbench's
-    # traced run expects fs-curve to call build_mode_operator,
-    # sample_extremal and residual_autonomous.  Once its _EXPECTED table
-    # drops them, ROADMAP item 2 (thresholds as pure inertia searches)
-    # solves the ends on the steps' even half block and deletes log_amp_cap
     lo, hi = a + s_lo, a + s_hi
+    grid = _k1_half_grid(T, dx)
     f_lo = fs_mode_eigenvalue(make_params(N, a, lo), T=T, dx=dx)
-    f_hi = fs_mode_eigenvalue(make_params(N, a, hi), T=T, dx=dx)
-    if not (f_lo < 0.0 < f_hi):
+    top = make_params(N, a, hi)
+    if not (f_lo < 0.0 and _k1_step_positive(top, grid)):
+        d, off = _k1_half_block(top, grid)  # Gershgorin floor, flat start
+        mu_hi = _principal_pair(1, d, off, np.ones(d.size), float(np.min(d))
+                                - 2.0 * float(np.max(np.abs(off))))[0]
         raise NoSignChange(
             "k=1 eigenvalue does not change sign across the guarded bracket",
-            lo=lo, hi=hi, mu_lo=f_lo, mu_hi=f_hi,
-        )
-    grid = _k1_half_grid(T, dx)
+            lo=lo, hi=hi, mu_lo=f_lo, mu_hi=mu_hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if _k1_step_positive(make_params(N, a, mid), grid):

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import ckn_lab
 from ckn_lab import acceptance
-from ckn_lab import cli
+from ckn_lab import cli, spectrum
 from ckn_lab import (asymptote_window, b_fs, build_mode_operator,
                      extremal_form, make_params, mode_eigenvalues,
                      read_profile_csv, region_label, sample_extremal,
@@ -222,41 +222,41 @@ def test_fs_curve_rows_and_determinism(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
 
 
-# fs-curve CSVs pinned byte for byte: the bisection steps factor the
-# amplitude-free k=1 potential and must take the decisions that the sampled
-# operator takes.  Moving the bracket ends onto that potential (ROADMAP
-# item 2, thresholds as pure inertia searches) changes these bytes on
-# purpose.  Every N in 2..6 is pinned at the default window
+# fs-curve CSVs pinned byte for byte: the bisection steps and the upper
+# bracket end factor the amplitude-free k=1 potential, and the lower end
+# eigensolves the sampled operator.  Moving the lower end onto that
+# potential too (ROADMAP item 2) changes these bytes on purpose.  Every N
+# in 2..6 is pinned at the default window
 _PINNED_FS_CURVES = {
     2: """a,b_fs_closed,b_fs_numeric,abs_err
--4,-3.0298574998546681,-3.029857482066789,1.7787879169617327e-08
--3.1666666666666665,-2.2130840015325246,-2.2130839398084969,6.172402766679852e-08
--2.333333333333333,-1.4141883033152753,-1.414187972080196,3.3123507936494434e-07
--1.5,-0.66794970566215628,-0.66794992274247333,2.1708031705536257e-07
+-4,-3.0298574998546681,-3.029857556507273,5.6652604829565689e-08
+-3.1666666666666665,-2.2130840015325246,-2.2130839857995035,1.5733021108133016e-08
+-2.333333333333333,-1.4141883033152753,-1.4141879774248647,3.2589041065733682e-07
+-1.5,-0.66794970566215628,-0.66794914464005994,5.6102209633479561e-07
 """,
     3: """a,b_fs_closed,b_fs_numeric,abs_err
--4,-3.069002861991414,-3.0690031232614041,2.6126999008724283e-07
--3.1666666666666665,-2.2671549326947145,-2.2671550281329953,9.5438280833803901e-08
--2.333333333333333,-1.4912280701754383,-1.4912274655168973,6.0465854101465766e-07
--1.5,-0.77525512860841084,-0.77525450420156372,6.2440684711617678e-07
+-4,-3.069002861991414,-3.0690025600220352,3.019693788353095e-07
+-3.1666666666666665,-2.2671549326947145,-2.2671547527356823,1.7995903212053577e-07
+-2.333333333333333,-1.4912280701754383,-1.4912277874289432,2.8274649510606764e-07
+-1.5,-0.77525512860841084,-0.77525445169874474,6.7690966609745828e-07
 """,
     4: """a,b_fs_closed,b_fs_numeric,abs_err
--4,-3.1101776349538639,-3.1101768404412602,7.9451260370788646e-07
--3.1666666666666665,-2.3198745287838722,-2.3198740600157928,4.6876807946460985e-07
--2.333333333333333,-1.5586203145011055,-1.5586195757680015,7.3873310402206016e-07
--1.5,-0.85601012694642709,-0.85600921510459926,9.1184182782200196e-07
+-4,-3.1101776349538639,-3.1101774076495619,2.2730430204731533e-07
+-3.1666666666666665,-2.3198745287838722,-2.3198738163996633,7.1238420895625154e-07
+-2.333333333333333,-1.5586203145011055,-1.5586191157495302,1.1987515753375533e-06
+-1.5,-0.85601012694642709,-0.85600865113522873,1.475811198359267e-06
 """,
     5: """a,b_fs_closed,b_fs_numeric,abs_err
--4,-3.1505164412789073,-3.1505155373894578,9.0388944951058647e-07
--3.1666666666666665,-2.3688040916215223,-2.3688031508205212,9.4080100110360831e-07
--2.333333333333333,-1.6168712179196967,-1.6168700453424427,1.1725772539605828e-06
--1.5,-0.91987426415539053,-0.91987165377463631,2.610380754219932e-06
+-4,-3.1505164412789073,-3.1505158837184299,5.5756047734334402e-07
+-3.1666666666666665,-2.3688040916215223,-2.3688029820985244,1.1095229979218857e-06
+-2.333333333333333,-1.6168712179196967,-1.6168694848660623,1.7330536343784786e-06
+-1.5,-0.91987426415539053,-0.91987234162510334,1.9225302871905825e-06
 """,
     6: """a,b_fs_closed,b_fs_numeric,abs_err
--4,-3.1888722860050907,-3.1888706038591286,1.6821459620786072e-06
--3.1666666666666665,-2.4134516708260496,-2.4134503820029676,1.2888230820351509e-06
--2.333333333333333,-1.6673482179371462,-1.6673460924455501,2.1254915960611243e-06
--1.5,-0.97189708519884688,-0.9718942403320292,2.8448668176750402e-06
+-4,-3.1888722860050907,-3.1888707191756209,1.5668294697235297e-06
+-3.1666666666666665,-2.4134516708260496,-2.4134501543806772,1.5164453723848226e-06
+-2.333333333333333,-1.6673482179371462,-1.66734550871214,2.7092250061144796e-06
+-1.5,-0.97189708519884688,-0.97189426995576644,2.8152430804340156e-06
 """,
 }
 
@@ -271,14 +271,47 @@ def test_fs_curve_bytes_are_pinned(capsys, tmp_path, monkeypatch, N):
     assert (out, err) == (_PINNED_FS_CURVES[N], "")
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_fs_curve_matches_the_closed_form_out_to_a_minus_50(capsys, tmp_path,
+                                                           monkeypatch, N):
+    # the upper bracket end is an inertia test at p - 2 = 1e-9, which
+    # needs no amplitude: a cap on the sampled amplitude there lost the
+    # bracket for a <= -10.75 (N = 2) to -19.25 (N = 6)
+    monkeypatch.chdir(tmp_path)
+    assert main(["fs-curve", "--N", str(N), "--a-min=-50", "--a-max=-0.05",
+                 "--steps", "21"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 21
+    for row in rows:
+        a, numeric = float(row[0]), float(row[2])
+        assert abs(numeric - b_fs(N, a)) <= 1e-3
+
+
+def test_fs_curve_refusal_reports_both_ends(capsys, tmp_path, monkeypatch):
+    # at a = -1e-9 the threshold lies below the lower guard: the search
+    # refuses, with the upper end's eigenvalue from its even half block,
+    # whose sign is the step's test at hi
+    monkeypatch.chdir(tmp_path)
+    err = _run_error(capsys, ["fs-curve", "--N", "2", "--a-min=-1e-9",
+                              "--a-max=-1e-9", "--steps", "1"])
+    assert err["code"] == "no_sign_change"
+    context = err["context"]
+    assert sorted(context) == ["hi", "lo", "mu_hi", "mu_lo"]
+    grid = spectrum._k1_half_grid(spectrum._fs_window(2, -1e-9, 1e-16), 0.01)
+    assert spectrum._k1_step_positive(make_params(2, -1e-9, context["hi"]),
+                                      grid) == (context["mu_hi"] > 0.0)
+
+
 # --T 10.005 has an even count (2000) of interior nodes, so the bisection
 # steps factor the even block whose centre coupling sits on the diagonal
 _PINNED_FS_CURVE_EVEN_COUNT = """a,b_fs_closed,b_fs_numeric,abs_err
--3,-2.1092410250817037,-2.109240474516656,5.5056504777439841e-07
--2.5,-1.6431989494000636,-1.6431982351242953,7.1427576830984663e-07
--2,-1.1944175803322663,-1.1944170082122354,5.7212003090612029e-07
--1.5,-0.77525512860841084,-0.77525450420156372,6.2440684711617678e-07
--1,-0.40858968733650158,-0.40858910074139115,5.8659511043002155e-07
+-3,-2.1092410250817037,-2.1092409001856058,1.2489609790833356e-07
+-2.5,-1.6431989494000636,-1.6431983475869332,6.018131304408314e-07
+-2,-1.1944175803322663,-1.1944172828407627,2.9749150365354637e-07
+-1.5,-0.77525512860841084,-0.77525445169874474,6.7690966609745828e-07
+-1,-0.40858968733650158,-0.40858847811565835,1.2092208432346041e-06
 """
 
 
@@ -862,6 +895,9 @@ def test_shoot_without_an_output_step_prints_one_pinned_line(capsys, argv,
     ["energy", "--N", "2", "--a=-2.55", "--b=-2.35", "--format", "json"],
     # the first point of N = 3, b - a = 1/2 where r^{N-1-bp} overflowed
     ["energy", "--N", "3", "--a=-6", "--b=-5.5", "--format", "json"],
+    # the dual probe's e^{-a_c t} overflowed at t = -0.6 T on the window
+    # T of about 1,400 that tail_window gives near p = 2
+    ["energy", "--N", "4", "--a=0", "--b=0.999", "--format", "json"],
 ], ids=lambda argv: " ".join(argv))
 def test_energy_defect_points_print_one_json_line_and_no_warning(capsys,
                                                                  argv):

@@ -243,6 +243,18 @@ def test_dualize_profile_keeps_samples_and_swaps_rate():
                       rtol=1e-9)
 
 
+def test_dualize_profile_checks_long_windows_in_the_log_domain():
+    # near p = 2 the window is long: at the probe t = -0.6 T the weight
+    # e^{-a_c t} of r^{-a} u = e^{-a_c t} w alone leaves the float range
+    params = make_params(4, 0.0, 0.999)
+    prof = sample_extremal(extremal_form(params), -1400.0, 1.0, 2801)
+    with pytest.raises(OverflowError):
+        math.exp(params.a_c * 0.6 * 1400.0)
+    dual = dualize_profile(prof)
+    assert np.array_equal(dual.values, prof.values)
+    assert dual.params.a == 2.0 * params.a_c - params.a
+
+
 def test_dualize_profile_near_endpoint_raises():
     # dual of b = a fails N = 2 admissibility (open at the bottom)
     params = make_params(2, 0.3, 0.8)

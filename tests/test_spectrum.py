@@ -19,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckn_lab import (
+    CknLabError,
     InvalidStep,
     LogGridProfile,
     ModeOperator,
+    NoSignChange,
     NotConverged,
     OutOfDomain,
     TailNotDecayed,
@@ -269,23 +271,55 @@ def test_threshold_refuses_a_window_shorter_than_the_well():
     find_fs_threshold(3, -1.0, 2.0, T=0.5)
 
 
+def _record_ends(m, lower=None):
+    # the b of the search's one eigensolve (fs_mode_eigenvalue, its lower
+    # bracket end) and of each of its steps (_k1_step_positive), the first
+    # of which decides the upper end; a given ``lower`` stands in for the
+    # lower end's eigenvalue
+    solved, steps = [], []
+    step_positive = spectrum._k1_step_positive
+
+    def eigensolve(params, **kwargs):
+        solved.append(params.b)
+        if lower is not None:
+            return lower
+        return fs_mode_eigenvalue(params, **kwargs)
+
+    def stepping(params, grid):
+        steps.append(params.b)
+        return step_positive(params, grid)
+
+    m.setattr(spectrum, "fs_mode_eigenvalue", eigensolve)
+    m.setattr(spectrum, "_k1_step_positive", stepping)
+    return solved, steps
+
+
+def _amplitude_free_operator(params, T, dx):
+    # the k=1 operator of the steps and the upper end on the whole centred
+    # grid of n nodes: V_1 from (p-1)(p lam^2/2) sech^2(gamma t), which
+    # needs no amplitude
+    n = window_nodes(T, dx)
+    t = dx * (np.arange(n) - (n - 1) / 2.0)
+    gamma = params.lam * (params.p - 2.0) / 2.0
+    depth = params.p * params.lam ** 2 / 2.0
+    V = (params.lam ** 2 + params.N - 1.0
+         - (params.p - 1.0) * depth * _sech2_tanh(gamma * np.abs(t))[0])
+    return ModeOperator(k=1, lambda_k=params.N - 1.0, potential=V,
+                        grid=(-(n - 1) * dx / 2.0, dx, n), params=params)
+
+
 @pytest.mark.parametrize("N, a", [(2, -1.0), (3, -0.5), (4, -2.0)] + [
     (N, a) for N in (2, 3, 4, 5, 6) for a in (-0.3, -3.0, -8.0)])
 def test_inertia_bisection_matches_eigensolve_bisection(monkeypatch, N, a):
-    # the search eigensolves only its two bracket ends; recording them
-    # gives the reference bisection the same bracket.  The reference
-    # decides each step on the eigenvalue of the sampled operator, the
-    # search on the inertia of the amplitude-free one
-    ends = []
-
-    def recording(params, **kwargs):
-        ends.append(params.b)
-        return fs_mode_eigenvalue(params, **kwargs)
-
-    monkeypatch.setattr(spectrum, "fs_mode_eigenvalue", recording)
+    # the search eigensolves only its lower bracket end and decides the
+    # upper one with its first step; recording both gives the reference
+    # bisection the same bracket.  The reference decides each step on the
+    # eigenvalue of the sampled operator, the search on the inertia of the
+    # amplitude-free one
+    solved, steps = _record_ends(monkeypatch)
     found = find_fs_threshold(N, a, 1e-6)
-    assert len(ends) == 2
-    lo, hi = ends
+    assert len(solved) == 1
+    lo, hi = solved[0], steps[0]
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if fs_mode_eigenvalue(make_params(N, a, mid)) < 0.0:
@@ -295,7 +329,7 @@ def test_inertia_bisection_matches_eigensolve_bisection(monkeypatch, N, a):
     assert found == 0.5 * (lo + hi)
     # fs_mode_eigenvalue itself rests on dpttrf certificates, so the same
     # bisection is decided once more by Sturm counting
-    lo, hi = ends
+    lo, hi = solved[0], steps[0]
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         op = spectrum._fs_mode_operator(make_params(N, a, mid), 40.0, 0.01)
@@ -388,27 +422,26 @@ def test_principal_solve_stops_at_its_iteration_cap(monkeypatch):
 
 def _guarded_ends(monkeypatch, N, a):
     # the two bracket ends of find_fs_threshold, read without eigensolves:
-    # a stand-in eigenvalue of -1 and +1 lets the search run its steps
-    ends = []
-
-    def recording(params, **kwargs):
-        ends.append(params.b)
-        return -1.0 if len(ends) == 1 else 1.0
-
+    # a stand-in eigenvalue of -1 at the lower end lets the search run its
+    # steps, the first of which is the upper end
     with monkeypatch.context() as m:
-        m.setattr(spectrum, "fs_mode_eigenvalue", recording)
+        solved, steps = _record_ends(m, lower=-1.0)
         find_fs_threshold(N, a, 1e-3)
-    return ends
+    return solved[0], steps[0]
 
 
 def _bracket_operators(monkeypatch, N, a_values):
     # the k=1 operators at the two ends and the midpoint of the threshold
-    # search's guarded bracket
+    # search's guarded bracket: the sampled extremal's at the lower end and
+    # the midpoint, the amplitude-free one at the upper end, where p - 2 =
+    # 1e-9 and no amplitude is representable
     for a in a_values:
         lo, hi = _guarded_ends(monkeypatch, N, float(a))
-        for b in (lo, 0.5 * (lo + hi), hi):
+        for b in (lo, 0.5 * (lo + hi)):
             yield spectrum._fs_mode_operator(make_params(N, float(a), b),
                                              40.0, 0.01)
+        yield _amplitude_free_operator(make_params(N, float(a), hi),
+                                       40.0, 0.01)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
@@ -456,12 +489,13 @@ def test_step_potential_matches_sampled_operator(monkeypatch, N):
     # the step potential is (p-1)(p lam^2/2) sech^2 with no amplitude, from
     # the step's own sech^2 on its half grid; there it agrees with
     # (p-1) w*^{p-2} on the t >= 0 interior nodes of the sampled k=1
-    # operator to rounding, at points across the guarded bracket
+    # operator to rounding, at points across the guarded bracket short of
+    # its upper end, where p - 2 = 1e-9 leaves no sampled extremal
     t = spectrum._k1_half_grid(40.0, 0.01)[0]
     checked = 0
     for a in (-0.3, -3.0, -8.0):
         lo, hi = _guarded_ends(monkeypatch, N, a)
-        for b in np.linspace(lo, hi, 9):
+        for b in np.linspace(lo, hi, 9)[:-1]:
             params = make_params(N, a, float(b))
             sech2 = spectrum._sech2_tanh(extremal_form(params).rate * t)[0]
             depth = (params.p - 1.0) * params.p * params.lam ** 2 / 2.0
@@ -503,20 +537,24 @@ def test_step_gate_rejects_a_corrupted_sech2(monkeypatch, corrupt):
     monkeypatch.setattr(spectrum, "_sech2_tanh", corrupt)
     with pytest.raises(UnverifiedProfile):
         spectrum._k1_step_positive(params, grid)
-    # the ends sample the extremal through profiles and pass; the first
-    # bisection step is refused
+    # the lower end samples the extremal through profiles and passes; the
+    # upper end's step is refused
     with pytest.raises(UnverifiedProfile):
         find_fs_threshold(3, -1.0, 1e-3)
 
 
-def test_threshold_samples_the_extremal_only_at_its_two_ends(monkeypatch):
-    calls = {}
+def test_threshold_samples_the_extremal_only_at_its_lower_end(monkeypatch):
+    calls, sampled, stepped = {}, [], []
 
     def counting(name):
         original = getattr(spectrum, name)
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
+            if name == "sample_extremal":
+                sampled.append(args[0].params.b)
+            if name == "_k1_step_positive":
+                stepped.append(args[0].b)
             return original(*args, **kwargs)
         monkeypatch.setattr(spectrum, name, wrapper)
 
@@ -529,9 +567,49 @@ def test_threshold_samples_the_extremal_only_at_its_two_ends(monkeypatch):
     steps = calls.pop("_k1_step_positive")
     assert steps >= 19  # the bracket is wider than 2^19 tol
     assert calls.pop("_k1_half_grid") == 1
-    assert calls == {"extremal_form": 2, "sample_extremal": 2,
-                     "build_mode_operator": 2, "residual_autonomous": 2,
-                     "fs_mode_eigenvalue": 2, "principal_eigenvalue": 2}
+    assert calls == {"extremal_form": 1, "sample_extremal": 1,
+                     "build_mode_operator": 1, "residual_autonomous": 1,
+                     "fs_mode_eigenvalue": 1, "principal_eigenvalue": 1}
+    # the one sample is the lower end: every step, the upper end's first,
+    # lies above it
+    assert sampled[0] < min(stepped)
+
+
+def test_refusal_eigensolves_the_upper_end_on_its_half_block():
+    # a refusal carries mu_hi, the principal eigenvalue of the step's even
+    # half block at hi; it agrees with Sturm bisection on the whole
+    # amplitude-free matrix there, where the sampled amplitude underflows
+    with pytest.raises(NoSignChange) as info:
+        find_fs_threshold(2, -1e-9, 1e-6)
+    context = info.value.context
+    op = _amplitude_free_operator(make_params(2, -1e-9, context["hi"]),
+                                  spectrum._fs_window(2, -1e-9, 1e-16), 0.01)
+    ref = _stebz_principal(op)
+    assert abs(context["mu_hi"] - ref) <= 1e-11 * max(1.0, abs(ref))
+    assert context["mu_lo"] > 0.0
+
+
+@pytest.mark.parametrize("N", [2, 3, 6])
+@pytest.mark.parametrize("a", [-2500.0, -1e7, -4e15])
+def test_threshold_far_out_is_a_typed_error(N, a):
+    # the lower end's sampled amplitude overflows at about a <= -2,000;
+    # further out b - a rounds to 1 and the bracket empties, which must
+    # stay typed (p - 2 = 0 would divide by zero in the step)
+    with pytest.raises(CknLabError):
+        find_fs_threshold(N, a, 1e-6)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_every_admissible_a_gets_a_threshold_or_a_typed_error(N):
+    for j in range(0, 53, 4):
+        for a in (-(2.0 ** j), -(2.0 ** j) * 1.5):
+            if abs(a) >= 2.0 ** 52:
+                continue
+            try:
+                b = find_fs_threshold(N, a, 1e-3)
+            except CknLabError:
+                continue
+            assert a < b < a + 1.0
 
 
 def _whole_matrix_step(params, T, dx):
@@ -558,17 +636,11 @@ def test_half_block_thresholds_match_the_whole_matrix(monkeypatch, N):
     cases += [(a, 1e-3, 10.005) for a in (-1.0, -2.5, -4.0, -8.0)
               if spectrum._fs_window(N, a, 1e-3) <= 10.005]
     for a, tol, T in cases:
-        ends = []
-
-        def recording(params, **kwargs):
-            ends.append(params.b)
-            return fs_mode_eigenvalue(params, **kwargs)
-
         with monkeypatch.context() as m:
-            m.setattr(spectrum, "fs_mode_eigenvalue", recording)
+            solved, steps = _record_ends(m)
             found = find_fs_threshold(N, a, tol, T=T)
         window = spectrum._fs_window(N, a, 1e-16) if T is None else T
-        lo, hi = ends
+        lo, hi = solved[0], steps[0]
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             if _whole_matrix_step(make_params(N, a, mid), window, 0.01):
@@ -583,13 +655,15 @@ def test_half_block_thresholds_match_the_whole_matrix(monkeypatch, N):
                                           (3, -1.0, 1e-3, 10.005),
                                           (3, -1.0, 1e-3, 12.3456)])
 def test_each_step_factors_the_half_block(monkeypatch, N, a, tol, T):
-    # with the ends stood in by -1 and +1, every dpttrf call is a step's:
-    # each factors the ceil((n-2)/2) rows of the even half block on the
-    # t >= 0 interior nodes of the ends' centred grid, and no step builds
-    # a ModeOperator.  2T/dx is not an integer at T = 12.3456, where the
-    # centred grid starts at -(n-1) dx / 2 = -12.345, not at -T.  Each
-    # factored block is the even parity block of the sampled operator
-    # that an end eigensolves, at the step's b
+    # with the lower end stood in by -1, every dpttrf call is a step's,
+    # the first at the upper end: each factors the ceil((n-2)/2) rows of
+    # the even half block on the t >= 0 interior nodes of the lower end's
+    # centred grid, and no step builds a ModeOperator.  2T/dx is not an
+    # integer at T = 12.3456, where the centred grid starts at
+    # -(n-1) dx / 2 = -12.345, not at -T.  Each factored block is the even
+    # parity block of the sampled operator that the lower end eigensolves,
+    # at the step's b, and at the upper end, which has no sampled
+    # extremal, of the amplitude-free operator on the same grid
     window = spectrum._fs_window(N, a, 1e-16) if T is None else T
     n = window_nodes(window, 0.01)
     t = spectrum._k1_half_grid(window, 0.01)[0]
@@ -613,9 +687,8 @@ def test_each_step_factors_the_half_block(monkeypatch, N, a, tol, T):
         built.append(1)
         return ModeOperator(*args, **kwargs)
 
-    ends = iter((-1.0, 1.0))
     monkeypatch.setattr(spectrum, "fs_mode_eigenvalue",
-                        lambda params, **kwargs: next(ends))
+                        lambda params, **kwargs: -1.0)
     monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", counting)
     monkeypatch.setattr(spectrum, "_k1_step_positive", stepping)
     monkeypatch.setattr(spectrum, "ModeOperator", operator)
@@ -627,7 +700,9 @@ def test_each_step_factors_the_half_block(monkeypatch, N, a, tol, T):
     assert [d.size for d, _ in blocks] == [math.ceil((n - 2) / 2)] * len(blocks)
     assert built == []
     for b, (d, e) in zip(steps, blocks):
-        op = spectrum._fs_mode_operator(make_params(N, a, b), window, 0.01)
+        build = (_amplitude_free_operator if b == steps[0]
+                 else spectrum._fs_mode_operator)
+        op = build(make_params(N, a, b), window, 0.01)
         d_end, e_end = spectrum._parity_blocks(
             *spectrum._tridiagonal(op.potential[1:-1], op.grid[1]))[0]
         assert e.tobytes() == e_end.tobytes()
