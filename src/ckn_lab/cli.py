@@ -140,6 +140,12 @@ def _grid_T(args) -> float:
     return 40.0 if args.T is None else args.T
 
 
+def _grid_dt(args) -> float:
+    # every command but spectrum defaults to 0.01.  --dt has no parser
+    # default, so that spectrum can tell an explicit step from its own
+    return 0.01 if args.dt is None else args.dt
+
+
 @functools.cache
 def _discrepancies_text() -> str:
     """The discrepancies.json document, computed once per process: its
@@ -214,7 +220,7 @@ def _cmd_classify(args) -> int:
 def _cmd_extremal(args) -> int:
     params = _require_point(args)
     form = extremal_form(params)
-    T, dt = _grid_T(args), args.dt
+    T, dt = _grid_T(args), _grid_dt(args)
     n = window_nodes(T, dt)
     profile = sample_extremal(form, -T, dt, n)
     variant = sample_radial_form(params, (params.p - 1.0) * params.lam,
@@ -240,7 +246,8 @@ def _cmd_extremal(args) -> int:
 def _cmd_shoot(args) -> int:
     params = _require_point(args)
     T = _grid_T(args)
-    profile = shoot_homoclinic(params, t_max=T, tol=args.tol, dt=args.dt)
+    profile = shoot_homoclinic(params, t_max=T, tol=args.tol,
+                               dt=_grid_dt(args))
     A = extremal_form(params).amplitude
     peak = float(profile.values.max())
     out = dict(_params_dict(params))
@@ -277,7 +284,8 @@ def _cmd_fs_curve(args) -> int:
     lines = ["a,b_fs_closed,b_fs_numeric,abs_err"]
     for a in a_values:
         closed = b_fs(N, a)
-        numeric = find_fs_threshold(N, a, args.tol, T=args.T, dx=args.dt)
+        numeric = find_fs_threshold(N, a, args.tol, T=args.T,
+                                    dx=_grid_dt(args))
         row = (a, closed, numeric, abs(numeric - closed))
         lines.append(",".join(_g(x) for x in row))
     _emit(["\n".join(lines) + "\n"], args.out)
@@ -289,7 +297,11 @@ def _cmd_spectrum(args) -> int:
     params = _require_point(args)
     form = extremal_form(params)
     T = asymptote_window(params) if args.T is None else args.T
-    dx, kmax = args.dt, args.kmax
+    # a tenth of the ground state's decay length 2/(|lam| p).  Step and
+    # window both scale like 1/|lam|, so every well of a given p gets the
+    # same grid in units of its width
+    dx = 0.2 / (abs(params.lam) * params.p) if args.dt is None else args.dt
+    kmax = args.kmax
     if kmax < 0:
         raise _UsageError(f"--kmax must be >= 0, got {kmax}")
     if kmax > MAX_MAP_NODES:
@@ -336,7 +348,7 @@ def _cmd_energy(args) -> int:
     params = _require_point(args)
     form = extremal_form(params)
     T = tail_window(form) if args.T is None else args.T
-    dt = args.dt
+    dt = _grid_dt(args)
     n = window_nodes(T, dt)
     profile = sample_extremal(form, -T, dt, n)
     rep = energy_report(profile)
@@ -564,7 +576,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--a", type=float)
     common.add_argument("--b", type=float)
     common.add_argument("--T", type=float, default=None)
-    common.add_argument("--dt", type=float, default=0.01)
+    common.add_argument("--dt", type=float, default=None)
     common.add_argument("--tol", type=float, default=1e-6)
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=["csv", "svg", "json"],
@@ -610,7 +622,7 @@ def _check_args(args) -> None:
         raise _UsageError(f"{args.command} requires --a and --b with --N")
     if args.T is not None and not (args.T > 0):
         raise _UsageError(f"--T must be positive, got {args.T}")
-    if not (args.dt > 0):
+    if args.dt is not None and not (args.dt > 0):
         raise _UsageError(f"--dt must be positive, got {args.dt}")
     if not (args.tol > 0):
         raise _UsageError(f"--tol must be positive, got {args.tol}")

@@ -123,10 +123,15 @@ def build_mode_operator(extremal: LogGridProfile, k: int) -> ModeOperator:
 
 def asymptote_window(params: CknParams) -> float:
     """Half-width T of [-T, T] where the well (p-1) w*^{p-2} ~ 2p(p-1) lam^2
-    e^{-lam (p-2) T} is below 1e-10: 24.5 is -ln(1e-10) = 23.0 plus a margin."""
+    e^{-lam (p-2) T} is below 1e-10 (24.5 is -ln(1e-10) = 23.0 plus a
+    margin), and at least 18.5/|lam|, where the Dirichlet walls move the
+    translation mode, which decays like e^{-|lam| t}, by e^{-2 |lam| T}
+    < 1e-16.  Both scale like 1/|lam|, so a step proportional to
+    1/(|lam| p) puts the same node count on every well of a given p."""
     p, lam = params.p, abs(params.lam)
     log_dev = math.log(p - 1.0) + math.log(2.0 * p * lam * lam)
-    return max(40.0, math.ceil((log_dev + 24.5) / (lam * (p - 2.0))))
+    return float(math.ceil(max((log_dev + 24.5) / (lam * (p - 2.0)),
+                               18.5 / lam)))
 
 
 def _tridiagonal(V: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -145,42 +150,144 @@ def _refuse_non_finite(p: CknParams, k: int, d: np.ndarray) -> None:
                            N=p.N, a=p.a, b=p.b, k=k)
 
 
+class _SecondDifference:
+    """The linear family T - sI of the second-difference matrix
+    T = tridiag(e, d, e) of the threshold search and
+    :func:`principal_eigenvalue`.  The root of its Rayleigh functional
+    x^T (T - sI) x of a unit x is the Rayleigh quotient x^T T x."""
+
+    def __init__(self, d: np.ndarray, e: np.ndarray):
+        self.d, self.e = d, e
+        self.norm = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
+
+    def at(self, s: float) -> np.ndarray:
+        return self.d - s
+
+    def root(self, x: np.ndarray, lower: float,
+             tol: float) -> Tuple[float, float]:
+        tx = self.d * x
+        tx[:-1] += self.e * x[1:]
+        tx[1:] += self.e * x[:-1]
+        mu = float(x @ tx)
+        return mu, float(np.linalg.norm(tx - mu * x))
+
+
+class _Numerov:
+    """The Numerov family M(s) = tridiag(e, kin + u / (1 - h^2 u/12), e),
+    u = V - s, of :func:`mode_eigenvalues` (Pillai, Goglio and Walker,
+    Am. J. Phys. 80 (2012)).
+
+    Numerov's recurrence for y'' = (V - s) y is M(s) z = 0 in
+    z = (1 - h^2 u/12) y; ``kin`` and ``e`` are the kinetic matrix
+    2/h^2, -1/h^2 of the whole interior or of one of its parity blocks.
+    It holds while h^2 u < 12 at every node, which for every shift at or
+    above min V is h^2 (max V - min V) < 12.  There each diagonal entry
+    falls strictly as s rises, so M(s) is positive definite exactly below
+    its principal eigenvalue s = mu_1, and the Rayleigh functional
+    f(s) = x^T M(s) x is decreasing and convex.
+    """
+
+    def __init__(self, kin: np.ndarray, e: np.ndarray, V: np.ndarray,
+                 h: float):
+        self.kin, self.e, self.V, self.c = kin, e, V, h * h / 12.0
+        self._last = (None,)
+        self.top = float(np.max(V))
+        spread = self.top - float(np.min(V))
+        # a bound on the Gershgorin norm at every shift from min V up
+        self.norm = (float(np.max(kin)) + spread / (1.0 - self.c * spread)
+                     + 2.0 * float(np.max(np.abs(e))))
+
+    def _terms(self, s: float):
+        # w = 1/(1 - h^2 u/12) and g = u w, so that the diagonal is
+        # kin + g; the last shift's are kept, because the Newton search of
+        # root starts at the shift that was factored last
+        if self._last[0] != s:
+            u = self.V - s
+            w = 1.0 / (1.0 - self.c * u)
+            self._last = (s, w, u * w)
+        return self._last[1:]
+
+    def at(self, s: float) -> np.ndarray:
+        return self.kin + self._terms(s)[1]
+
+    def root(self, x: np.ndarray, lower: float,
+             tol: float) -> Tuple[float, float]:
+        # Newton on f from the certified shift, where f > 0.  With
+        # f'(s) = -x^T W^2 x and f''(s) = 2c x^T W^3 x, c = h^2/12, f is
+        # decreasing and convex, so every iterate stays at or below the
+        # root, and a step of length delta from s leaves at most
+        # 4 c max(w) delta^2 to go, with max(w) at its largest at the
+        # start.  The search stops once that is below tol: one evaluation
+        # (at the factored shift) near convergence, two or three before.
+        # The distance ||M(mu) x|| / -f'(mu) is the residual scaled by the
+        # slope of the eigenvalue in s; M(mu) x is taken to first order
+        # from the last evaluation, within the same bound
+        kx = self.kin * x
+        kx[:-1] += self.e * x[1:]
+        kx[1:] += self.e * x[:-1]
+        xx = x * x
+        kinetic = float(x @ kx)
+        bound = 4.0 * self.c / (1.0 - self.c * (self.top - lower))
+        s = lower
+        for _ in range(_NEWTON_MAX_ITER):
+            w, g = self._terms(s)
+            ww = w * w
+            slope = float(xx @ ww)
+            step = (kinetic + float(xx @ g)) / slope
+            s += step
+            if bound * step * step <= tol:
+                break
+        r = kx + (g - step * ww) * x
+        return s, math.sqrt(float(r @ r)) / slope
+
+    def vector(self, z: np.ndarray, mu: float) -> np.ndarray:
+        # y = z / (1 - h^2 (V - mu)/12) on the same nodes
+        return z / (1.0 - self.c * (self.V - mu))
+
+
 _PRINCIPAL_MAX_ITER = 60
 _SHIFT_TRIES = 4
+_NEWTON_MAX_ITER = 8
 
 
-def _principal_pair(k: int, d: np.ndarray, e: np.ndarray,
-                    x: np.ndarray, sigma: float) -> Tuple[float, np.ndarray]:
-    """Smallest eigenvalue mu_1 and its unit eigenvector of the tridiagonal
-    matrix T = tridiag(e, d, e), by inverse iteration with shifts from
-    below, from the first shift ``sigma`` and the positive start ``x``
-    (overwritten).  T is the whole matrix of the level-k operator or one of
-    its parity blocks (:func:`_parity_blocks`).
+def _principal_pair(k: int, family, x: np.ndarray,
+                    sigma: float) -> Tuple[float, np.ndarray]:
+    """Principal eigenvalue mu_1 and its unit vector z of a family of
+    symmetric tridiagonal matrices whose eigenvalues all fall as the
+    shift s rises: the second difference T - sI (:class:`_SecondDifference`)
+    or the Numerov matrix M(s) (:class:`_Numerov`), of the level-k
+    operator's whole interior or of one of its parity blocks
+    (:func:`_parity_blocks`).  mu_1 is the s at which the family's
+    smallest eigenvalue reaches 0.  By inverse iteration with shifts
+    from below, from the first shift ``sigma`` and the positive start
+    ``x`` (overwritten).
 
     Every shift sigma is certified to lie below mu_1 by a successful
-    LDL^T factorization of T - sigma I (dpttrf; Sylvester's law of
-    inertia), and every Rayleigh quotient mu = x^T T x lies above it, so
-    mu_1 is in (sigma, mu] at each step.  The first shift is the
-    Gershgorin bound min d - 2 max|e| of the operator's whole matrix, and
-    NotConverged if it does not factor; each later one is mu - ||Tx - mu x||,
-    with the step halved toward sigma while the factorization fails, at
-    most _SHIFT_TRIES times.  Stops when mu - sigma is 8 ulps of the
-    Gershgorin norm bound.  T - sigma I is positive definite with e < 0,
-    so its inverse is entrywise positive and so is every iterate from a
+    LDL^T factorization of the family at sigma (dpttrf; Sylvester's law
+    of inertia), and every root mu of the Rayleigh functional
+    x^T M(mu) x = 0 lies above it (minimax for a monotone nonlinear
+    family: Voss and Werner, Math. Methods Appl. Sci. 4 (1982); for
+    T - sI the root is the Rayleigh quotient x^T T x), so mu_1 is in
+    (sigma, mu] at each step.  NotConverged if the first shift does not
+    factor; each later one is mu less the family's distance (the
+    residual ||T x - mu x|| for T - sI), with the step halved toward
+    sigma while the factorization fails, at most _SHIFT_TRIES times.
+    Stops when mu - sigma is 8 ulps of the family's Gershgorin norm
+    bound.  The matrix at sigma is positive definite with e < 0, so its
+    inverse is entrywise positive and so is every iterate from a
     positive start.  The start does not enter the certificate; callers
     pass the well's depth profile (:func:`_well_start`): on the
     benchmark's fs-curve band it takes 5.4 successful and 0.01 failed
-    dpttrf calls per solve, against 5.9 and 0.4 from x = ones, and on
-    point-mix's spectrum band 5.7 on the even block and 6.4 on the odd.
+    dpttrf calls per solve, against 5.9 and 0.4 from x = ones.
     """
     # imported on first use: commands that never solve start without scipy
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    e_max = float(np.max(np.abs(e)))
-    tol = 8.0 * np.finfo(float).eps * (float(np.max(np.abs(d))) + 2.0 * e_max)
+    e = family.e
+    tol = 8.0 * np.finfo(float).eps * family.norm
 
     def factor(shift):
-        fd, fe, info = dpttrf(d - shift, e, overwrite_d=1)
+        fd, fe, info = dpttrf(family.at(shift), e, overwrite_d=1)
         return (fd, fe) if info == 0 else None
 
     lu = factor(sigma)
@@ -190,13 +297,10 @@ def _principal_pair(k: int, d: np.ndarray, e: np.ndarray,
     for _ in range(_PRINCIPAL_MAX_ITER):
         x = dpttrs(lu[0], lu[1], x, overwrite_b=1)[0]
         x /= np.linalg.norm(x)
-        tx = d * x
-        tx[:-1] += e * x[1:]
-        tx[1:] += e * x[:-1]
-        mu = float(x @ tx)
+        mu, dist = family.root(x, sigma, tol)
         if mu - sigma <= tol:
             return mu, x
-        step = mu - float(np.linalg.norm(tx - mu * x)) - sigma
+        step = mu - dist - sigma
         for _ in range(_SHIFT_TRIES):
             if not step > 0.0:
                 break
@@ -243,8 +347,8 @@ def _parity_blocks(d: np.ndarray, e: np.ndarray):
 
     The blocks are read from the right half alone.  If the matrix is not
     persymmetric, their eigenvalues are those of the matrix whose left
-    half mirrors its right one; :func:`_solve` refuses an uneven potential
-    before it splits.
+    half mirrors its right one; :func:`mode_eigenvalues` refuses an
+    uneven potential before it splits.
     """
     c = d.size // 2
     if d.size % 2:
@@ -270,25 +374,8 @@ def _mirror(z: np.ndarray, m: int, sign: float) -> np.ndarray:
     return np.concatenate((half[:0:-1], half))
 
 
-def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenReport]:
-    """The ``count`` lowest eigenpairs, count 1 or 2, of the operator's
-    matrix, behind the asymptote gate.
-
-    One eigenpair is the principal pair of the whole matrix
-    (:func:`_principal_pair`), certified by LDL^T factorizations alone.
-    Two are the principal pairs of its even and odd half-size blocks
-    (:func:`_parity_blocks`), each certified the same way: the ground
-    state is symmetric and the second eigenvector skew, so neither needs
-    deflation or a Sturm count.  The blocks are read from the right half,
-    which by Weyl's inequality moves each eigenvalue by at most
-    max |V(t) - V(-t)|.  That asymmetry is refused with InvalidStep above
-    SYMMETRY_GATE times max |V|: an off-centre grid or an odd part of the
-    potential, not rounding (sampled sech^2 wells on centred grids are even
-    to about 1e-14).
-    """
-    if count not in (1, 2):
-        raise InvalidStep(f"count must be 1 or 2, got {count}", count=count)
-    t0, dt, n = op.grid
+def _interior(op: ModeOperator, asymptote_tol: float) -> np.ndarray:
+    """The potential on the interior nodes, behind the asymptote gate."""
     V = op.potential
     dev = max(abs(float(V[0]) - op.asymptote), abs(float(V[-1]) - op.asymptote))
     if dev > asymptote_tol:
@@ -297,33 +384,11 @@ def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenRepo
             deviation=dev, tol=asymptote_tol,
             end_values=(float(V[0]), float(V[-1])),
         )
-    d, e = _tridiagonal(V[1:-1], dt)
-    _refuse_non_finite(op.params, op.k, d)
-    # the Gershgorin floor of the whole matrix: the blocks' eigenvalues are
-    # those of the matrix mirrored from its right half, whose diagonal is
-    # drawn from d, so it bounds them too.  A block's own floor would sit
-    # (sqrt 2 - 1) / dt^2 lower, past the even block's sqrt(2) entry
-    sigma = float(np.min(d)) - 2.0 * float(np.max(np.abs(e)))
-    if count == 1:
-        pairs = [_principal_pair(op.k, d, e, _well_start(op), sigma)]
-    else:
-        scale = float(np.max(np.abs(V)))
-        gap = float(np.max(np.abs(V - V[::-1])))
-        asymmetry = gap / scale if scale > 0.0 else gap
-        if not asymmetry <= SYMMETRY_GATE:
-            raise InvalidStep(
-                f"the potential is not even on its grid (asymmetry "
-                f"{asymmetry:.3e}); two eigenvalues need a centred grid and "
-                f"an even potential",
-                asymmetry=asymmetry, gate=SYMMETRY_GATE, k=op.k, grid=op.grid)
-        # the even block's start is a copy: both blocks overwrite theirs
-        start, c = _well_start(op), d.size // 2
-        starts = (start[c:].copy(), start[c + d.size % 2:])
-        pairs = []
-        for sign, (db, eb), x in zip((1.0, -1.0), _parity_blocks(d, e),
-                                     starts):
-            mu, z = _principal_pair(op.k, db, eb, x, sigma)
-            pairs.append((mu, _mirror(z, d.size, sign)))
+    return V[1:-1]
+
+
+def _reports(op: ModeOperator, pairs) -> List[EigenReport]:
+    t0, dt, n = op.grid
     T = (n - 1) * dt / 2.0
     out = []
     for i, (mu, x) in enumerate(pairs):
@@ -341,16 +406,23 @@ def _solve(op: ModeOperator, count: int, asymptote_tol: float) -> List[EigenRepo
 
 def principal_eigenvalue(op: ModeOperator, *,
                          asymptote_tol: float = 1e-10) -> EigenReport:
-    """Smallest Dirichlet eigenvalue of -d^2/dt^2 + V on the grid.
+    """Smallest Dirichlet eigenvalue of the second-difference matrix
+    tridiag(-1/dx^2, 2/dx^2 + V, -1/dx^2) on the grid.
 
-    Solved by inverse iteration with shifts from below on the symmetric
-    tridiagonal second-difference matrix (:func:`_principal_pair`): each
-    shift is certified below the eigenvalue by an LDL^T factorization, each
-    Rayleigh quotient bounds it from above, and the solve stops when the
-    two are 8 ulps of the matrix norm apart.  It raises NotConverged on a
-    non-finite potential and after 60 iterations.  Truncation error decays
-    like e^{-2 sqrt(asymptote - mu) T} and the discretization error is
-    O(dx^2).
+    Solved by inverse iteration with shifts from below
+    (:func:`_principal_pair`): each shift is certified below the
+    eigenvalue by an LDL^T factorization, each Rayleigh quotient bounds it
+    from above, and the solve stops when the two are 8 ulps of the matrix
+    norm apart.  It raises NotConverged on a non-finite potential and
+    after 60 iterations.  Truncation error decays like
+    e^{-2 sqrt(asymptote - mu) T} and the discretization error is O(dx^2).
+
+    The threshold search (:func:`fs_mode_eigenvalue`) solves this matrix
+    and its bisection steps factor it.  It keeps the second difference,
+    not the Numerov matrix of :func:`mode_eigenvalues`, because it runs
+    at dx = 0.01 out to |a| of about 2,000, and Numerov's transform needs
+    dx^2 (max V - min V) < 12, which fails once |lam| exceeds about 346
+    there.  Its grid rule has to move with it.
 
     The potential must have reached its asymptote at both grid ends to
     within ``asymptote_tol`` (default per contract 1e-10); slow-decay
@@ -358,23 +430,86 @@ def principal_eigenvalue(op: ModeOperator, *,
     explicitly, trading absolute eigenvalue accuracy bounded by the
     deviation.
     """
-    return _solve(op, 1, asymptote_tol)[0]
+    d, e = _tridiagonal(_interior(op, asymptote_tol), op.grid[1])
+    _refuse_non_finite(op.params, op.k, d)
+    sigma = float(np.min(d)) - 2.0 * float(np.max(np.abs(e)))
+    return _reports(op, [_principal_pair(op.k, _SecondDifference(d, e),
+                                         _well_start(op), sigma)])[0]
 
 
 def mode_eigenvalues(op: ModeOperator, count: int = 2, *,
                      asymptote_tol: float = 1e-10) -> List[EigenReport]:
     """The ``count`` smallest eigenvalues, ascending (index 1 is the
-    translation zero mode when k = 0).
+    translation zero mode when k = 0), of the Numerov matrix
+    M(s) = tridiag(-1/h^2, 2/h^2 + u/(1 - h^2 u/12), -1/h^2), u = V - s,
+    on the operator's grid of step h: each is an s at which M(s) is
+    singular (:class:`_Numerov`).  Its error is O(h^4), against the
+    O(h^2) of :func:`principal_eigenvalue`'s second difference, which the
+    threshold search keeps (see there).  Each reported eigenvector is
+    y = z / (1 - h^2 (V - mu)/12) of the null vector z of M(mu).
 
-    ``count`` is 1 or 2; any other count is InvalidStep.  One is
-    :func:`principal_eigenvalue`.  Two are the principal eigenvalues of the
-    even and the odd half-size block of the matrix, each solved by the
-    same certified inverse iteration; that needs an even potential on a
-    centred grid, t0 = -(n-1) dt / 2, and any potential with
-    max |V(t) - V(-t)| above SYMMETRY_GATE (1e-12) times max |V| is
-    refused with InvalidStep, its asymmetry in the context.
+    The transform needs h^2 (max V - min V) < 12 on the interior nodes;
+    a coarser step is refused with InvalidStep, ``h`` and the largest
+    valid step ``limit`` in its context.  ``count`` is 1 or 2; any other
+    count is InvalidStep.  One is the principal eigenvalue of the whole
+    matrix.  Two are the principal eigenvalues of its even and odd
+    half-size blocks (:func:`_parity_blocks`): the ground state is
+    symmetric and the second eigenvector skew, so neither needs deflation
+    or a Sturm count.  Each is solved by the certified inverse iteration
+    of :func:`_principal_pair`, from the first shift min V, where M is
+    the kinetic matrix plus a nonnegative diagonal.  The blocks are read
+    from the right half, which needs an even potential on a centred grid,
+    t0 = -(n-1) h / 2; any potential with max |V(t) - V(-t)| above
+    SYMMETRY_GATE (1e-12) times max |V| is refused with InvalidStep, its
+    asymmetry in the context: an off-centre grid or an odd part of the
+    potential, not rounding (sampled sech^2 wells on centred grids are
+    even to about 1e-14).
     """
-    return _solve(op, count, asymptote_tol)
+    if count not in (1, 2):
+        raise InvalidStep(f"count must be 1 or 2, got {count}", count=count)
+    V = _interior(op, asymptote_tol)
+    # solved in units where the step is 2^j h in [0.5, 1): scaling t by a
+    # power of two scales V - s and mu by a power of two exactly, which
+    # changes no bit of a result that stays in the normal float range, but
+    # keeps 1/h^2 and the inverse iterates in range at the step
+    # 0.2/(|lam| p) of a tiny lam
+    j = -math.frexp(op.grid[1])[1]
+    h, V = math.ldexp(op.grid[1], j), np.ldexp(V, -2 * j)
+    _refuse_non_finite(op.params, op.k, V)
+    kin, e = _tridiagonal(np.zeros(V.size), h)
+    sigma = float(np.min(V))
+    spread = float(np.max(V)) - sigma
+    if not spread * h * h < 12.0:
+        limit = math.ldexp(math.sqrt(12.0 / spread), -j)
+        raise InvalidStep(
+            f"step {op.grid[1]:g} is too coarse for the Numerov matrix: "
+            f"h^2 (max V - min V) must stay below 12, so h below {limit:.6g}",
+            h=op.grid[1], limit=limit)
+    start = _well_start(op)
+    if count == 1:
+        family = _Numerov(kin, e, V, h)
+        mu, z = _principal_pair(op.k, family, start, sigma)
+        return _reports(op, [(math.ldexp(mu, 2 * j), family.vector(z, mu))])
+    full = op.potential
+    scale = float(np.max(np.abs(full)))
+    gap = float(np.max(np.abs(full - full[::-1])))
+    asymmetry = gap / scale if scale > 0.0 else gap
+    if not asymmetry <= SYMMETRY_GATE:
+        raise InvalidStep(
+            f"the potential is not even on its grid (asymmetry "
+            f"{asymmetry:.3e}); two eigenvalues need a centred grid and "
+            f"an even potential",
+            asymmetry=asymmetry, gate=SYMMETRY_GATE, k=op.k, grid=op.grid)
+    c = V.size // 2
+    pairs = []
+    for sign, (kb, eb), i in zip((1.0, -1.0), _parity_blocks(kin, e),
+                                 (c, c + V.size % 2)):
+        family = _Numerov(kb, eb, V[i:], h)
+        # a copy: the two starts overlap and each solve overwrites its own
+        mu, z = _principal_pair(op.k, family, start[i:].copy(), sigma)
+        pairs.append((math.ldexp(mu, 2 * j),
+                      _mirror(family.vector(z, mu), V.size, sign)))
+    return _reports(op, pairs)
 
 
 def _fs_mode_operator(params: CknParams, T: float, dx: float) -> ModeOperator:
@@ -563,7 +698,8 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
     top = make_params(N, a, hi)
     if not (f_lo < 0.0 and _k1_step_positive(top, grid)):
         d, off = _k1_half_block(top, grid)  # Gershgorin floor, flat start
-        mu_hi = _principal_pair(1, d, off, np.ones(d.size), float(np.min(d))
+        mu_hi = _principal_pair(1, _SecondDifference(d, off), np.ones(d.size),
+                                float(np.min(d))
                                 - 2.0 * float(np.max(np.abs(off))))[0]
         raise NoSignChange(
             "k=1 eigenvalue does not change sign across the guarded bracket",

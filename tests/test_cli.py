@@ -165,11 +165,13 @@ def test_energy_explicit_truncation_reaches_the_tail_gate(capsys):
 ], ids=["N2", "N3", "N4", "N5", "N6", "N3-a-above-a_c"])
 def test_spectrum_table_shift_identity_and_zero_mode(capsys, monkeypatch,
                                                      N, a, b):
-    calls = []
+    calls, profiles = [], []
 
     def counted(fn):
         def wrapper(*args, **kwargs):
             calls.append(fn.__name__)
+            if fn is build_mode_operator:
+                profiles.append(args[0])
             return fn(*args, **kwargs)
         return wrapper
 
@@ -193,11 +195,14 @@ def test_spectrum_table_shift_identity_and_zero_mode(capsys, monkeypatch,
     assert abs(mu2[0]) < 1e-4  # translation zero mode
     for k in (1, 2, 3):
         assert np.isclose(mu1[k] - mu1[0], lam_k[k], atol=1e-10)
-    # each shifted row against a direct solve of mode k on the same profile
+    # each shifted row against a direct solve of mode k on the table's own
+    # grid: the profile it sampled, centred at t = 0, on the window
+    # asymptote_window and the step 0.2/(|lam| p)
     params = make_params(N, a, b)
-    T = asymptote_window(params)
-    profile = sample_extremal(extremal_form(params), -T, 0.01,
-                              window_nodes(T, 0.01))
+    (profile,) = profiles
+    h = 0.2 / (abs(params.lam) * params.p)
+    n = window_nodes(asymptote_window(params), h)
+    assert (profile.t0, profile.dt, profile.n) == (-(n - 1) * h / 2.0, h, n)
     for k in (1, 2, 3):
         direct = mode_eigenvalues(build_mode_operator(profile, k), 2)
         assert abs(mu1[k] - direct[0].mu) <= 1e-10
@@ -324,15 +329,16 @@ def test_fs_curve_bytes_are_pinned_at_an_even_interior_count(
 
 
 # the spectrum table pinned byte for byte: mu1 and mu2 are the principal
-# eigenvalues of the even and the odd half block of the k = 0 operator,
-# each certified by dpttrf shifts.  Sturm bisection (stebz) on the whole
-# matrix printed mu1 = -2.8125146905336442 and mu2 = -4.2188837122072558e-05
-# here, 6.1e-13 and 1.4e-12 away
+# eigenvalues of the even and the odd half block of the k = 0 Numerov
+# matrix, each certified by dpttrf shifts, on the step 0.2/(lam p) = 0.044
+# and the window T = 19.  Sturm bisection on the whole Numerov matrix gives
+# mu1 = -2.812500130054631 and mu2 = -4.2112378739744827e-07, 2.3e-14 and
+# 9.8e-15 away; the closed forms are -2.8125 and 0
 _PINNED_SPECTRUM = """k,lambda_k,mu1,mu2
-0,0,-2.8125146905330336,-4.2188835694358498e-05
-1,2,-0.8125146905330336,1.9999578111643057
-2,6,3.1874853094669664,5.9999578111643057
-3,12,9.1874853094669664,11.999957811164306
+0,0,-2.8125001300546537,-4.2112377762396925e-07
+1,2,-0.81250013005465371,1.9999995788762224
+2,6,3.1874998699453463,5.9999995788762224
+3,12,9.1874998699453467,11.999999578876222
 """
 
 
@@ -344,22 +350,74 @@ def test_spectrum_bytes_are_pinned(capsys):
 
 # grids whose 2T/dt is not an integer, and one with an even count of
 # interior nodes.  The table samples the centred grid t0 = -(n-1) dt / 2,
-# which for --dt 0.3 and 0.007 is not the [-T, -T + (n-1) dt] of the
-# stebz solver before it; the last tuple holds that solver's (mu1, mu2)
+# which for --dt 0.3 and 0.007 is not [-T, -T + (n-1) dt]; the last tuple
+# holds (mu1, mu2) from Sturm bisection on the whole Numerov matrix of the
+# same grid
 _ODD_GRID_SPECTRA = [
     (["--N", "3", "--a=-1", "--b=-0.5", "--dt", "0.3"],
-     "0,0,-2.825924748128529,-0.039106461400624952\n"
-     "1,2,-0.82592474812852901,1.9608935385993751\n",
-     (-2.8259247481502952, -0.039106461300985773)),
+     "0,0,-2.8127768625259257,-0.00089881059032640798\n"
+     "1,2,-0.81277686252592574,1.9991011894096735\n",
+     (-2.8127768625259195, -0.000898810590311605)),
     (["--N", "3", "--a=-1", "--b=-0.5", "--dt", "0.007"],
-     "0,0,-2.8125071983004828,-2.0672195820595532e-05\n"
-     "1,2,-0.81250719830048279,1.9999793278041793\n",
-     (-2.81250719830452, -2.0672197041927941e-05)),
+     "0,0,-2.8125000000799809,-2.589884646789958e-10\n"
+     "1,2,-0.81250000007998091,1.9999999997410116\n",
+     (-2.812500000084997, -2.567066559322484e-10)),
     (["--N", "3", "--a=-3", "--b=-2.5", "--T", "10.005", "--dt", "0.01"],
-     "0,0,-15.312935488418493,-0.0012507364214139436\n"
-     "1,2,-13.312935488418493,1.998749263578586\n",
-     (-15.312935488418473, -0.001250736423770369)),
+     "0,0,-15.312500053770355,-1.7410648501855015e-07\n"
+     "1,2,-13.312500053770355,1.999999825893515\n",
+     (-15.31250005377202, -1.7410650166027608e-07)),
 ]
+
+
+def _sech2_closed_forms(N, a, b):
+    # mu_n = lam^2 - gamma^2 (nu - n)^2 of the k = 0 sech^2 well, n = 0, 1
+    params = make_params(N, a, b)
+    gamma = params.lam * (params.p - 2.0) / 2.0
+    nu = params.p / (params.p - 2.0)
+    return [params.lam ** 2 - gamma ** 2 * (nu - n) ** 2 for n in (0, 1)]
+
+
+def _table_errors(capsys, N, a, b):
+    # |mu1 - closed| and |mu2 - closed| of the k = 0 row of the table
+    assert main(["spectrum", "--N", str(N), f"--a={a}", f"--b={b}",
+                 "--kmax", "0"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    row = out.splitlines()[1].split(",")
+    return [abs(float(got) - want) for got, want in
+            zip(row[2:], _sech2_closed_forms(N, a, b))]
+
+
+# points of large gamma = lam (p-2)/2, where a second-difference matrix at
+# dt = 0.01 is off by (4.2e-3, 4.2e-3), (3.6e-2, 4.4e-3) and (9.6e-2, 0.35)
+# in (mu1, mu2)
+@pytest.mark.parametrize("N, a, b", [(2, -2.0, -1.7), (2, -0.5, -0.45),
+                                     (3, -20.0, -19.3)])
+def test_spectrum_rows_match_the_closed_forms_at_large_gamma(capsys, N, a, b):
+    assert max(_table_errors(capsys, N, a, b)) <= 1e-4
+
+
+@pytest.mark.parametrize("a", [-1e-10, -1e-80, -1e-150])
+def test_spectrum_rows_at_a_tiny_lam(capsys, a):
+    # window and step scale like 1/|lam|, so the table keeps its 741 nodes
+    # and its relative accuracy as lam = -a shrinks, where dt = 0.01 would
+    # need 46,523,601 nodes at lam = 1e-5.  mu1 = -3 lam^2 and mu2 = 0
+    errors = _table_errors(capsys, 2, a, 0.5)
+    assert max(errors) <= 1e-6 * a * a
+
+
+def test_spectrum_rows_match_the_closed_forms_on_the_point_mix_band(capsys):
+    # a seeded sample of the benchmark's point-mix band: N = 2..6,
+    # lam = a_c - a in [0.3, 2] and b - a in [0.3, 0.85], at the table's
+    # own window and step; its oracle allows 2e-4
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(60):
+        N = int(rng.integers(2, 7))
+        a = (N - 2) / 2.0 - float(rng.uniform(0.3, 2.0))
+        b = a + float(rng.uniform(0.3, 0.85))
+        worst = max(worst, *_table_errors(capsys, N, a, b))
+    assert worst <= 2e-5
 
 
 @pytest.mark.parametrize(
@@ -370,7 +428,6 @@ def test_spectrum_on_odd_grids_is_pinned(capsys, argv, rows, before):
     out, err = capsys.readouterr()
     assert (out, err) == ("k,lambda_k,mu1,mu2\n" + rows, "")
     mu1, mu2 = (float(v) for v in rows.split("\n")[0].split(",")[2:])
-    # the half-step shift of the grid moves mu2 at dt = 0.3 by 1.0e-10
     assert abs(mu1 - before[0]) <= 1e-10
     assert abs(mu2 - before[1]) <= 2e-10
 
@@ -772,14 +829,31 @@ _PINNED_ERRORS = [
                   "gap": 0.00029695449291393226, "gate": 1e-08},
       "message": _IDENTITY_MESSAGE}),
     # a window too short for the well at --T 10.005, refused before the
-    # solve as by the stebz solver, on an even count of interior nodes
+    # solve, at the table's own step (451 nodes, ends at +-10) and at
+    # --dt 0.01 (an even count of interior nodes, ends at +-10.005)
     (["spectrum", "--N", "3", "--a=-1", "--b=-0.5", "--T", "10.005"],
+     {"code": "tail_not_decayed",
+      "context": {"deviation": 8.259357600515216e-06,
+                  "end_values": [2.2499917406423995, 2.2499917406423995],
+                  "tol": 1e-10},
+      "message": "potential is 8.259e-06 away from its asymptote at the "
+                 "grid ends"}),
+    (["spectrum", "--N", "3", "--a=-1", "--b=-0.5", "--T", "10.005",
+      "--dt", "0.01"],
      {"code": "tail_not_decayed",
       "context": {"deviation": 8.197644170593321e-06,
                   "end_values": [2.2499918023558294, 2.2499918023558294],
                   "tol": 1e-10},
       "message": "potential is 8.198e-06 away from its asymptote at the "
                  "grid ends"}),
+    # a step too coarse for the Numerov transform: h^2 (max V - min V) =
+    # 16.1 >= 12.  A second-difference matrix gives mu2 = 1.476 here,
+    # against the closed form's 0
+    (["spectrum", "--N", "3", "--a=-1", "--b=-0.5", "--dt", "2"],
+     {"code": "invalid_step",
+      "context": {"h": 2.0, "limit": 1.7262443796178737},
+      "message": "step 2 is too coarse for the Numerov matrix: h^2 "
+                 "(max V - min V) must stay below 12, so h below 1.72624"}),
     # the spectrum table gets the same limit on its rows, checked before
     # the profile is sampled
     (["spectrum", "--N", "3", "--a=-1", "--b=-0.5", "--kmax", "2001"],

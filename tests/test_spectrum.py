@@ -412,6 +412,13 @@ def test_principal_solve_rejects_a_non_finite_potential(bad):
         principal_eigenvalue(_broken_operator(bad), asymptote_tol=math.inf)
 
 
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_numerov_solve_rejects_a_non_finite_potential(bad, count):
+    with pytest.raises(NotConverged, match="non-finite potential"):
+        mode_eigenvalues(_broken_operator(bad), count, asymptote_tol=math.inf)
+
+
 def test_principal_solve_stops_at_its_iteration_cap(monkeypatch):
     op = spectrum._fs_mode_operator(make_params(3, -1.0, -0.5), 40.0, 0.01)
     principal_eigenvalue(op, asymptote_tol=math.inf)
@@ -717,18 +724,77 @@ def _centred_operator(N, a, b, n, dx=0.01):
     return build_mode_operator(prof, 0)
 
 
+def _table_step(params):
+    # the spectrum command's step without --dt: a tenth of the ground
+    # state's decay length 2/(|lam| p)
+    return 0.2 / (abs(params.lam) * params.p)
+
+
+def _numerov_diagonal(V, h, s):
+    # the diagonal of the Numerov matrix M(s) on the nodes of V, written
+    # out here rather than read from the solver
+    u = V - s
+    return 2.0 / h ** 2 + u / (1.0 - h * h * u / 12.0)
+
+
+def _sturm_bisection(op, count):
+    # the reference that shares no code with the certified solver:
+    # eigenvalue i = 0, 1, ... of the Numerov family is the s at which the
+    # Sturm count of the whole matrix M(s), its number of eigenvalues at or
+    # below 0, first exceeds i.  Every eigenvalue of M(s) falls as s
+    # rises, so bisect s on the sign of M(s)'s eigenvalue i, which
+    # LAPACK's stebz gives by Sturm counts
+    V, h = op.potential[1:-1], op.grid[1]
+    e = np.full(V.size - 1, -1.0 / h ** 2)
+
+    def counted(s, i):
+        theta = scipy.linalg.eigvalsh_tridiagonal(
+            _numerov_diagonal(V, h, s), e, select="i", select_range=(i, i),
+            lapack_driver="stebz")[0]
+        return theta <= 0.0
+
+    out = []
+    for i in range(count):
+        lo = hi = float(np.min(V))
+        while not counted(hi, i):
+            lo, hi = hi, hi + 2.0 * (hi - lo + 1.0)
+        while hi - lo > 1e-13 * max(1.0, abs(hi)):
+            mid = 0.5 * (lo + hi)
+            if counted(mid, i):
+                hi = mid
+            else:
+                lo = mid
+        out.append(0.5 * (lo + hi))
+    return out
+
+
+def _numerov_residual(op, rep):
+    # ||M(mu) z|| of a reported eigenpair, z = (1 - h^2 (V - mu)/12) y on
+    # the interior nodes, relative to the Gershgorin norm bound of M(mu)
+    V, h = op.potential[1:-1], op.grid[1]
+    d = _numerov_diagonal(V, h, rep.mu)
+    z = rep.eigenvector[1:-1] * (1.0 - h * h * (V - rep.mu) / 12.0)
+    z /= np.linalg.norm(z)
+    mz = d * z
+    mz[:-1] -= z[1:] / h ** 2
+    mz[1:] -= z[:-1] / h ** 2
+    norm = np.max(np.abs(d)) + 2.0 / h ** 2
+    return np.linalg.norm(mz) / norm
+
+
 def _check_split(op, tol):
-    # both eigenvalues against Sturm bisection on the whole matrix; the
-    # vectors are symmetric and skew, unit, and solve the whole matrix
+    # both eigenvalues against Sturm bisection on the whole Numerov
+    # matrix; the vectors are symmetric and skew, unit, and their z solve
+    # the whole matrix
     reps = mode_eigenvalues(op, 2, asymptote_tol=math.inf)
-    ref = _stebz_lowest(op, 2)
+    ref = _sturm_bisection(op, 2)
     for rep, want, sign in zip(reps, ref, (1.0, -1.0)):
         assert abs(rep.mu - want) <= tol * max(1.0, abs(want))
         v = rep.eigenvector
         assert v[0] == v[-1] == 0.0
         assert np.array_equal(v, sign * v[::-1])
         assert np.isclose(np.linalg.norm(v), 1.0, rtol=1e-12)
-        assert _residual(op, rep) <= 1e-8
+        assert _numerov_residual(op, rep) <= 1e-8
     # equal only where the two are degenerate to rounding, as in a double
     # well whose tunnelling splitting is below an ulp
     assert reps[0].mu <= reps[1].mu
@@ -739,6 +805,24 @@ def _check_split(op, tol):
 _POINT_MIX_BAND = [(lam, s) for lam in (0.3, 0.9, 2.0) for s in (0.3, 0.85)]
 
 
+@pytest.mark.parametrize("N, a, b", [(2, -2.0, -1.7), (3, -1.0, -0.5),
+                                     (3, -20.0, -19.3)])
+def test_numerov_eigenvalues_converge_at_fourth_order(N, a, b):
+    # halving the step cuts both errors about 16-fold on one window, from
+    # the spectrum command's own step down; the second difference cuts
+    # them 4-fold
+    params = make_params(N, a, b)
+    T = asymptote_window(params)
+    errors = []
+    for h in (_table_step(params), _table_step(params) / 2.0):
+        n = window_nodes(T, h)
+        reps = mode_eigenvalues(_centred_operator(N, a, b, n, h), 2)
+        errors.append([abs(rep.mu - pt_eigenvalue(params, 0, i))
+                       for i, rep in enumerate(reps)])
+    for coarse, fine in zip(*errors):
+        assert 12.0 <= coarse / fine <= 20.0
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_parity_split_matches_sturm_bisection(monkeypatch, N):
     def refused(*args, **kwargs):
@@ -747,10 +831,12 @@ def test_parity_split_matches_sturm_bisection(monkeypatch, N):
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refused)
     for lam, s in _POINT_MIX_BAND:
         a = (N - 2) / 2.0 - lam
-        n = window_nodes(asymptote_window(make_params(N, a, a + s)), 0.01)
+        params = make_params(N, a, a + s)
+        h = _table_step(params)
+        n = window_nodes(asymptote_window(params), h)
         # an odd and an even count of interior nodes
         for nodes in (n, n + 1):
-            _check_split(_centred_operator(N, a, a + s, nodes), 1e-10)
+            _check_split(_centred_operator(N, a, a + s, nodes, h), 1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -768,7 +854,16 @@ def test_parity_split_on_random_even_potentials(half, odd, dt, end):
     op = ModeOperator(k=0, lambda_k=0.0, potential=V,
                       grid=(-(n - 1) * dt / 2.0, dt, n),
                       params=make_params(3, -1.0, -0.5))
-    _check_split(op, 1e-10)
+    inner = V[1:-1]
+    spread = float(np.max(inner) - np.min(inner))
+    if spread * dt * dt < 12.0:
+        _check_split(op, 1e-10)
+        return
+    # past h^2 (max V - min V) = 12 the Numerov transform is refused
+    with pytest.raises(InvalidStep) as info:
+        mode_eigenvalues(op, 2, asymptote_tol=math.inf)
+    assert info.value.context == {"h": dt,
+                                  "limit": math.sqrt(12.0 / spread)}
 
 
 def test_two_eigenvalues_refuse_other_counts():
@@ -791,8 +886,8 @@ def test_two_eigenvalues_refuse_an_off_centre_grid():
     assert ctx["asymmetry"] > 0.1
     assert ctx == {"asymmetry": ctx["asymmetry"], "gate": 1e-12, "k": 0,
                    "grid": (-T + 0.3, dx, n)}
-    # one eigenvalue needs no symmetry, and the shift moves it by 2.4e-13
-    assert abs(principal_eigenvalue(op).mu - mode_eigenvalues(
+    # one eigenvalue needs no symmetry, and the shift moves it by 2.5e-13
+    assert abs(mode_eigenvalues(op, 1)[0].mu - mode_eigenvalues(
         _centred_operator(3, -1.0, -0.5, n), 2)[0].mu) < 1e-11
 
 
