@@ -119,7 +119,7 @@ def criterion_4():
     worst = 0.0
     sign_ok = True
     for (N, a) in _THRESHOLD_POINTS:
-        found = find_fs_threshold(N, a, 1e-6, T=40.0, dx=0.01)
+        found = find_fs_threshold(N, a, 1e-6)
         worst = max(worst, abs(found - b_fs(N, a)))
         if not (b_fs_printed(N, a) < a):  # printed curve below b = a
             sign_ok = False

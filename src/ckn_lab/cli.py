@@ -141,8 +141,9 @@ def _grid_T(args) -> float:
 
 
 def _grid_dt(args) -> float:
-    # every command but spectrum defaults to 0.01.  --dt has no parser
-    # default, so that spectrum can tell an explicit step from its own
+    # every command but spectrum and fs-curve defaults to 0.01.  --dt has
+    # no parser default, so that those two can tell an explicit step from
+    # the one they size from the parameters
     return 0.01 if args.dt is None else args.dt
 
 
@@ -284,8 +285,7 @@ def _cmd_fs_curve(args) -> int:
     lines = ["a,b_fs_closed,b_fs_numeric,abs_err"]
     for a in a_values:
         closed = b_fs(N, a)
-        numeric = find_fs_threshold(N, a, args.tol, T=args.T,
-                                    dx=_grid_dt(args))
+        numeric = find_fs_threshold(N, a, args.tol, T=args.T, dx=args.dt)
         row = (a, closed, numeric, abs(numeric - closed))
         lines.append(",".join(_g(x) for x in row))
     _emit(["\n".join(lines) + "\n"], args.out)

@@ -134,12 +134,11 @@ def asymptote_window(params: CknParams) -> float:
                                18.5 / lam)))
 
 
-def _tridiagonal(V: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the Dirichlet second-difference matrix
-    of -d^2/dt^2 + V, V given on the interior grid nodes."""
-    d = 2.0 / dt ** 2 + V
-    e = np.full(V.size - 1, -1.0 / dt ** 2)
-    return d, e
+def _kinetic(m: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the Dirichlet second difference of
+    -d^2/dt^2 on m interior nodes of step h, the kinetic part of the
+    Numerov matrix (:class:`_Numerov`)."""
+    return np.full(m, 2.0 / h ** 2), np.full(m - 1, -1.0 / h ** 2)
 
 
 def _refuse_non_finite(p: CknParams, k: int, d: np.ndarray) -> None:
@@ -150,31 +149,9 @@ def _refuse_non_finite(p: CknParams, k: int, d: np.ndarray) -> None:
                            N=p.N, a=p.a, b=p.b, k=k)
 
 
-class _SecondDifference:
-    """The linear family T - sI of the second-difference matrix
-    T = tridiag(e, d, e) of the threshold search and
-    :func:`principal_eigenvalue`.  The root of its Rayleigh functional
-    x^T (T - sI) x of a unit x is the Rayleigh quotient x^T T x."""
-
-    def __init__(self, d: np.ndarray, e: np.ndarray):
-        self.d, self.e = d, e
-        self.norm = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
-
-    def at(self, s: float) -> np.ndarray:
-        return self.d - s
-
-    def root(self, x: np.ndarray, lower: float,
-             tol: float) -> Tuple[float, float]:
-        tx = self.d * x
-        tx[:-1] += self.e * x[1:]
-        tx[1:] += self.e * x[:-1]
-        mu = float(x @ tx)
-        return mu, float(np.linalg.norm(tx - mu * x))
-
-
 class _Numerov:
     """The Numerov family M(s) = tridiag(e, kin + u / (1 - h^2 u/12), e),
-    u = V - s, of :func:`mode_eigenvalues` (Pillai, Goglio and Walker,
+    u = V - s, of every eigensolve here (Pillai, Goglio and Walker,
     Am. J. Phys. 80 (2012)).
 
     Numerov's recurrence for y'' = (V - s) y is M(s) z = 0 in
@@ -252,33 +229,30 @@ _NEWTON_MAX_ITER = 8
 
 def _principal_pair(k: int, family, x: np.ndarray,
                     sigma: float) -> Tuple[float, np.ndarray]:
-    """Principal eigenvalue mu_1 and its unit vector z of a family of
-    symmetric tridiagonal matrices whose eigenvalues all fall as the
-    shift s rises: the second difference T - sI (:class:`_SecondDifference`)
-    or the Numerov matrix M(s) (:class:`_Numerov`), of the level-k
-    operator's whole interior or of one of its parity blocks
-    (:func:`_parity_blocks`).  mu_1 is the s at which the family's
-    smallest eigenvalue reaches 0.  By inverse iteration with shifts
-    from below, from the first shift ``sigma`` and the positive start
-    ``x`` (overwritten).
+    """Principal eigenvalue mu_1 and its unit vector z of the Numerov
+    family M(s) (:class:`_Numerov`), whose eigenvalues all fall as the
+    shift s rises, of the level-k operator's whole interior or of one of
+    its parity blocks (:func:`_parity_blocks`).  mu_1 is the s at which
+    the family's smallest eigenvalue reaches 0.  By inverse iteration
+    with shifts from below, from the first shift ``sigma`` and the
+    positive start ``x`` (overwritten).
 
     Every shift sigma is certified to lie below mu_1 by a successful
     LDL^T factorization of the family at sigma (dpttrf; Sylvester's law
     of inertia), and every root mu of the Rayleigh functional
     x^T M(mu) x = 0 lies above it (minimax for a monotone nonlinear
-    family: Voss and Werner, Math. Methods Appl. Sci. 4 (1982); for
-    T - sI the root is the Rayleigh quotient x^T T x), so mu_1 is in
-    (sigma, mu] at each step.  NotConverged if the first shift does not
-    factor; each later one is mu less the family's distance (the
-    residual ||T x - mu x|| for T - sI), with the step halved toward
+    family: Voss and Werner, Math. Methods Appl. Sci. 4 (1982)), so mu_1
+    is in (sigma, mu] at each step.  NotConverged if the first shift does
+    not factor; each later one is mu less the family's distance
+    ||M(mu) x|| / -f'(mu), with the step halved toward
     sigma while the factorization fails, at most _SHIFT_TRIES times.
     Stops when mu - sigma is 8 ulps of the family's Gershgorin norm
     bound.  The matrix at sigma is positive definite with e < 0, so its
     inverse is entrywise positive and so is every iterate from a
     positive start.  The start does not enter the certificate; callers
     pass the well's depth profile (:func:`_well_start`): on the
-    benchmark's fs-curve band it takes 5.4 successful and 0.01 failed
-    dpttrf calls per solve, against 5.9 and 0.4 from x = ones.
+    benchmark's fs-curve band it takes 7.7 successful and no failed
+    dpttrf calls per solve, against 9.1 and 0.8 from x = ones.
     """
     # imported on first use: commands that never solve start without scipy
     from scipy.linalg.lapack import dpttrf, dpttrs
@@ -406,23 +380,20 @@ def _reports(op: ModeOperator, pairs) -> List[EigenReport]:
 
 def principal_eigenvalue(op: ModeOperator, *,
                          asymptote_tol: float = 1e-10) -> EigenReport:
-    """Smallest Dirichlet eigenvalue of the second-difference matrix
-    tridiag(-1/dx^2, 2/dx^2 + V, -1/dx^2) on the grid.
+    """Smallest eigenvalue of the Numerov matrix on the operator's grid:
+    :func:`mode_eigenvalues` with ``count`` 1, the principal eigenvalue
+    of the whole matrix, with its O(h^4) error, its step limit
+    h^2 (max V - min V) < 12 (InvalidStep) and its refusal of a
+    non-finite potential (NotConverged).  The threshold search's lower
+    end (:func:`fs_mode_eigenvalue`) solves it, and its bisection steps
+    factor the even half block of the same family at s = 0.
 
-    Solved by inverse iteration with shifts from below
-    (:func:`_principal_pair`): each shift is certified below the
-    eigenvalue by an LDL^T factorization, each Rayleigh quotient bounds it
-    from above, and the solve stops when the two are 8 ulps of the matrix
-    norm apart.  It raises NotConverged on a non-finite potential and
-    after 60 iterations.  Truncation error decays like
-    e^{-2 sqrt(asymptote - mu) T} and the discretization error is O(dx^2).
-
-    The threshold search (:func:`fs_mode_eigenvalue`) solves this matrix
-    and its bisection steps factor it.  It keeps the second difference,
-    not the Numerov matrix of :func:`mode_eigenvalues`, because it runs
-    at dx = 0.01 out to |a| of about 2,000, and Numerov's transform needs
-    dx^2 (max V - min V) < 12, which fails once |lam| exceeds about 346
-    there.  Its grid rule has to move with it.
+    Each shift is certified below the eigenvalue by an LDL^T
+    factorization, each root of the Rayleigh functional bounds it from
+    above, and the solve stops when the two are 8 ulps of the matrix
+    norm apart, or raises NotConverged after 60 iterations
+    (:func:`_principal_pair`).  Truncation error decays like
+    e^{-2 sqrt(asymptote - mu) T}.
 
     The potential must have reached its asymptote at both grid ends to
     within ``asymptote_tol`` (default per contract 1e-10); slow-decay
@@ -430,11 +401,7 @@ def principal_eigenvalue(op: ModeOperator, *,
     explicitly, trading absolute eigenvalue accuracy bounded by the
     deviation.
     """
-    d, e = _tridiagonal(_interior(op, asymptote_tol), op.grid[1])
-    _refuse_non_finite(op.params, op.k, d)
-    sigma = float(np.min(d)) - 2.0 * float(np.max(np.abs(e)))
-    return _reports(op, [_principal_pair(op.k, _SecondDifference(d, e),
-                                         _well_start(op), sigma)])[0]
+    return mode_eigenvalues(op, 1, asymptote_tol=asymptote_tol)[0]
 
 
 def mode_eigenvalues(op: ModeOperator, count: int = 2, *,
@@ -444,8 +411,8 @@ def mode_eigenvalues(op: ModeOperator, count: int = 2, *,
     M(s) = tridiag(-1/h^2, 2/h^2 + u/(1 - h^2 u/12), -1/h^2), u = V - s,
     on the operator's grid of step h: each is an s at which M(s) is
     singular (:class:`_Numerov`).  Its error is O(h^4), against the
-    O(h^2) of :func:`principal_eigenvalue`'s second difference, which the
-    threshold search keeps (see there).  Each reported eigenvector is
+    O(h^2) of the second difference tridiag(-1/h^2, 2/h^2 + V, -1/h^2)
+    on the same grid.  Each reported eigenvector is
     y = z / (1 - h^2 (V - mu)/12) of the null vector z of M(mu).
 
     The transform needs h^2 (max V - min V) < 12 on the interior nodes;
@@ -476,7 +443,7 @@ def mode_eigenvalues(op: ModeOperator, count: int = 2, *,
     j = -math.frexp(op.grid[1])[1]
     h, V = math.ldexp(op.grid[1], j), np.ldexp(V, -2 * j)
     _refuse_non_finite(op.params, op.k, V)
-    kin, e = _tridiagonal(np.zeros(V.size), h)
+    kin, e = _kinetic(V.size, h)
     sigma = float(np.min(V))
     spread = float(np.max(V)) - sigma
     if not spread * h * h < 12.0:
@@ -526,7 +493,9 @@ def _fs_mode_operator(params: CknParams, T: float, dx: float) -> ModeOperator:
 
 def fs_mode_eigenvalue(params: CknParams, *, T: float = 40.0,
                        dx: float = 0.01) -> float:
-    """Principal eigenvalue of the k=1 mode at a parameter point.
+    """Principal eigenvalue of the k=1 mode at a parameter point: that of
+    the Numerov matrix (:func:`principal_eigenvalue`) of the sampled
+    extremal's operator on the centred grid of step ``dx`` over [-T, T].
 
     Negative means the radial extremal is unstable against the first
     sphere-harmonic sector (symmetry-breaking side of the threshold);
@@ -536,8 +505,8 @@ def fs_mode_eigenvalue(params: CknParams, *, T: float = 40.0,
     like 1/(lam (p-2)) and no fixed window reaches the asymptote, yet
     Dirichlet truncation only biases the eigenvalue upward, which
     preserves the sign on the stable side.  Near the threshold itself the
-    well is O(1/lam) wide, so the value is accurate exactly where the sign
-    change is located.
+    ground state decays within the window of :func:`_fs_window`, so the
+    value is accurate exactly where the sign change is located.
     """
     op = _fs_mode_operator(params, T, dx)
     return principal_eigenvalue(op, asymptote_tol=math.inf).mu
@@ -549,20 +518,22 @@ def _sech2_tanh(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return 4.0 * u / (1.0 + u) ** 2, (1.0 - u) / (1.0 + u)
 
 
-def _k1_half_grid(T: float, dx: float):
-    """(t, diagonal, off-diagonal) of the even half block of the threshold
-    search, built once per threshold: the interior nodes t >= 0 of the
-    centred grid of :func:`_fs_mode_operator`, and the even block
-    (:func:`_parity_blocks`) of the kinetic matrix (:func:`_tridiagonal`
-    of a zero potential) on the whole interior."""
-    m = window_nodes(T, dx) - 2
-    t = dx * (np.arange((m + 1) // 2) + (0.0 if m % 2 else 0.5))
-    return (t,) + _parity_blocks(*_tridiagonal(np.zeros(m), dx))[0]
+def _k1_half_grid(T: float, h: float):
+    """(t, kinetic diagonal, off-diagonal, c) of the even half block of the
+    threshold search, built once per threshold: the interior nodes t >= 0
+    of the centred grid of :func:`_fs_mode_operator`, the even block
+    (:func:`_parity_blocks`) of the kinetic matrix (:func:`_kinetic`) on
+    the whole interior, and c = h^2/12 of the Numerov matrix."""
+    m = window_nodes(T, h) - 2
+    t = h * (np.arange((m + 1) // 2) + (0.0 if m % 2 else 0.5))
+    return ((t,) + _parity_blocks(*_kinetic(m, h))[0]
+            + (h * h / 12.0,))
 
 
 def _k1_half_block(params: CknParams, grid):
-    """(diagonal, off-diagonal) of the even half block of the k=1 matrix at
-    ``params`` on the grid of :func:`_k1_half_grid`.
+    """(diagonal, off-diagonal, potential) of the even half block of the
+    k=1 Numerov matrix at s = 0, M(0) = tridiag(e, kin + V_1/(1 - c V_1), e)
+    (:class:`_Numerov`), at ``params`` on the grid of :func:`_k1_half_grid`.
 
     V_1 = lam^2 + (N-1) - (p-1) w*^{p-2} with w*^{p-2} = (p lam^2/2)
     sech^2(gamma t) needs no amplitude: beta = 2/(p-2) and
@@ -578,7 +549,7 @@ def _k1_half_block(params: CknParams, grid):
     gam = params.lam * (params.p - 2.0) / 2.0
     lam2 = params.lam ** 2
     depth = params.p * params.lam * params.lam / 2.0  # max of w*^{p-2}
-    t, diag, off = grid
+    t, kin, off, c = grid
     sech2, th = _sech2_tanh(gam * t)
     # the residual grouped by array
     res = float(np.max(np.abs((gam * beta) ** 2 * th * th
@@ -589,25 +560,28 @@ def _k1_half_block(params: CknParams, grid):
             f"k=1 potential residual {res:.3e} exceeds the gate {gate:.3e}",
             residual=res, gate=gate,
         )
-    d = diag + (lam2 + (params.N - 1.0) - (params.p - 1.0) * (depth * sech2))
+    V = lam2 + (params.N - 1.0) - (params.p - 1.0) * (depth * sech2)
+    d = kin + V / (1.0 - c * V)
     _refuse_non_finite(params, 1, d)
-    return d, off
+    return d, off, V
 
 
 def _k1_step_positive(params: CknParams, grid) -> bool:
     """One bisection step: whether the k=1 principal eigenvalue at
     ``params`` is positive on the grid of :func:`_k1_half_grid`.
 
-    V_1 is even and its ground state symmetric, so the whole matrix is
-    positive definite exactly when its even half block
+    V_1 is even and its ground state symmetric, so the whole matrix M(0)
+    is positive definite exactly when its even half block
     (:func:`_k1_half_block`, which refuses the NaN that passes the pivot
     test) is, and by Sylvester's law of inertia exactly when LAPACK dpttrf
-    factors that block (it stops at the first pivot d <= 0).
+    factors that block (it stops at the first pivot d <= 0).  Every
+    eigenvalue of M(s) falls as s rises, so that is exactly when the
+    Numerov eigenvalue mu_1 is positive.
     """
     # imported on first use: commands that never solve start without scipy
     from scipy.linalg.lapack import dpttrf
 
-    return dpttrf(*_k1_half_block(params, grid), overwrite_d=1)[2] == 0
+    return dpttrf(*_k1_half_block(params, grid)[:2], overwrite_d=1)[2] == 0
 
 
 def _fs_window(N: int, a: float, eps: float) -> float:
@@ -635,15 +609,18 @@ def _pm2_to_gap(N: int, eps: float) -> float:
 
 
 def find_fs_threshold(N: int, a: float, tol: float, *,
-                      T: Optional[float] = None, dx: float = 0.01) -> float:
+                      T: Optional[float] = None,
+                      dx: Optional[float] = None) -> float:
     """Locate the symmetry-breaking threshold by sign bisection in b.
 
-    Bisects the sign of the k=1 principal eigenvalue over b in (a, a+1).
-    The lower end is guarded where the well becomes narrower than the grid
-    resolves (binding for N = 2, where p -> infinity); the upper end sits
-    at p - 2 = 1e-9.  Raises NoSignChange with both end eigenvalues when
-    the ends do not straddle a sign change, which is what the rejected
-    sign convention of the closed-form curve would produce.
+    Bisects the sign of the k=1 principal eigenvalue of the Numerov
+    matrix (:class:`_Numerov`) over b in (a, a+1).  The lower end is
+    guarded where the well becomes narrower than the grid resolves,
+    p - 2 = 0.4/(lam h), a well 1/gamma = 5h wide (binding for N = 2,
+    where p -> infinity); the upper end sits at p - 2 = 1e-9.  Raises
+    NoSignChange with both end eigenvalues when the ends do not straddle
+    a sign change, which is what the rejected sign convention of the
+    closed-form curve would produce.
 
     Every step and the upper end read the sign alone
     (:func:`_k1_step_positive`) from an LDL^T inertia test of the even
@@ -651,10 +628,21 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
     once per threshold; that potential never forms the amplitude, which
     overflows at the upper end.  Only the lower end is eigensolved, on the
     sampled extremal's operator (:func:`fs_mode_eigenvalue`), because
-    perfbench's traced fs-curve run expects its five calls until ROADMAP
-    item 1 drops them.  That amplitude is the one limit left: it
-    overflows at about a <= -2,000 (DegenerateParams).  Only a refusal
-    eigensolves the upper end, on its half block, for ``mu_hi``.
+    perfbench's traced fs-curve run expects its five calls.  Only a
+    refusal eigensolves the upper end, on its half block, for ``mu_hi``.
+
+    Without ``dx`` the step is h = min(0.05, 2/kappa),
+    kappa = sqrt(lam^2 + N - 1): the steps' matrix M(0) needs
+    h^2 V_1 < 12 at every node, and V_1 is below its asymptote kappa^2,
+    so h^2 kappa^2 stays at 4 or below.  An explicit ``dx`` with
+    h^2 kappa^2 >= 12 is refused with InvalidStep before any solve, ``h``
+    and the largest valid step ``limit`` = sqrt(12)/kappa in its context.
+    At the default step the lower end has p - 2 >= 0.2, so its amplitude
+    (p lam^2/2)^{1/(p-2)} stays in range.  The far limits are the grid,
+    about T kappa nodes (ResolutionTooLarge past the node budget, from
+    about a <= -3.2e5 at N = 2), and the upper end: the threshold's
+    p - 2 ~ (N - 1)/lam^2 falls below 1e-9 once lam exceeds about
+    3.2e4 sqrt(N - 1) (NoSignChange).
 
     Without ``T`` the grid is [-T, T] with T = :func:`_fs_window` at
     eps = 1e-16, sized from (N, a) alone: the exponential tail 1/kappa of a
@@ -678,6 +666,15 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
     if a >= 0:
         raise OutOfDomain("threshold search applies to a < 0", a=a)
     lam = probe.a_c - a
+    kappa = math.hypot(lam, math.sqrt(N - 1.0))
+    if dx is None:
+        dx = min(0.05, 2.0 / kappa)
+    elif not (dx * kappa) ** 2 < 12.0:
+        limit = math.sqrt(12.0) / kappa
+        raise InvalidStep(
+            f"step {dx:g} is too coarse for the Numerov matrix: "
+            f"h^2 (lam^2 + N - 1) must stay below 12, so h below {limit:.6g}",
+            h=dx, limit=limit)
     if T is None:
         T = _fs_window(N, a, 1e-16)
     else:
@@ -697,10 +694,9 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
     f_lo = fs_mode_eigenvalue(make_params(N, a, lo), T=T, dx=dx)
     top = make_params(N, a, hi)
     if not (f_lo < 0.0 and _k1_step_positive(top, grid)):
-        d, off = _k1_half_block(top, grid)  # Gershgorin floor, flat start
-        mu_hi = _principal_pair(1, _SecondDifference(d, off), np.ones(d.size),
-                                float(np.min(d))
-                                - 2.0 * float(np.max(np.abs(off))))[0]
+        _, off, V = _k1_half_block(top, grid)  # flat start from min V
+        mu_hi = _principal_pair(1, _Numerov(grid[1], off, V, dx),
+                                np.ones(V.size), float(np.min(V)))[0]
         raise NoSignChange(
             "k=1 eigenvalue does not change sign across the guarded bracket",
             lo=lo, hi=hi, mu_lo=f_lo, mu_hi=mu_hi)

@@ -228,40 +228,41 @@ def test_fs_curve_rows_and_determinism(capsys, tmp_path, monkeypatch):
 
 
 # fs-curve CSVs pinned byte for byte: the bisection steps and the upper
-# bracket end factor the amplitude-free k=1 potential, and the lower end
-# eigensolves the sampled operator.  Moving the lower end onto that
-# potential too (ROADMAP item 2) changes these bytes on purpose.  Every N
-# in 2..6 is pinned at the default window
+# bracket end factor the Numerov matrix of the amplitude-free k=1
+# potential, and the lower end eigensolves that of the sampled operator,
+# at the step 0.05 that min(0.05, 2/kappa) gives here.  Moving the lower
+# end onto the amplitude-free potential too (ROADMAP item 2) changes these
+# bytes on purpose.  Every N in 2..6 is pinned at the default window
 _PINNED_FS_CURVES = {
     2: """a,b_fs_closed,b_fs_numeric,abs_err
--4,-3.0298574998546681,-3.029857556507273,5.6652604829565689e-08
--3.1666666666666665,-2.2130840015325246,-2.2130839857995035,1.5733021108133016e-08
--2.333333333333333,-1.4141883033152753,-1.4141879774248647,3.2589041065733682e-07
--1.5,-0.66794970566215628,-0.66794914464005994,5.6102209633479561e-07
+-4,-3.0298574998546681,-3.0298571591310313,3.4072363686021845e-07
+-3.1666666666666665,-2.2130840015325246,-2.2130841695948789,1.6806235425548266e-07
+-2.333333333333333,-1.4141883033152753,-1.4141885527570386,2.4944176324481759e-07
+-1.5,-0.66794970566215628,-0.66794967689820661,2.8763949666554822e-08
 """,
     3: """a,b_fs_closed,b_fs_numeric,abs_err
--4,-3.069002861991414,-3.0690025600220352,3.019693788353095e-07
--3.1666666666666665,-2.2671549326947145,-2.2671547527356823,1.7995903212053577e-07
--2.333333333333333,-1.4912280701754383,-1.4912277874289432,2.8274649510606764e-07
--1.5,-0.77525512860841084,-0.77525445169874474,6.7690966609745828e-07
+-4,-3.069002861991414,-3.0690028253478125,3.6643601486474608e-08
+-3.1666666666666665,-2.2671549326947145,-2.26715462515038,3.0754433444357687e-07
+-2.333333333333333,-1.4912280701754383,-1.4912278871562346,1.830192037921563e-07
+-1.5,-0.77525512860841084,-0.77525540537210658,2.7676369573903514e-07
 """,
     4: """a,b_fs_closed,b_fs_numeric,abs_err
--4,-3.1101776349538639,-3.1101774076495619,2.2730430204731533e-07
--3.1666666666666665,-2.3198745287838722,-2.3198738163996633,7.1238420895625154e-07
--2.333333333333333,-1.5586203145011055,-1.5586191157495302,1.1987515753375533e-06
--1.5,-0.85601012694642709,-0.85600865113522873,1.475811198359267e-06
+-4,-3.1101776349538639,-3.1101773588675865,2.7608627739539315e-07
+-3.1666666666666665,-2.3198745287838722,-2.3198740961115902,4.3267228200249974e-07
+-2.333333333333333,-1.5586203145011055,-1.5586200694228918,2.4507821372310445e-07
+-1.5,-0.85601012694642709,-0.85601055848195229,4.3153552520269756e-07
 """,
     5: """a,b_fs_closed,b_fs_numeric,abs_err
--4,-3.1505164412789073,-3.1505158837184299,5.5756047734334402e-07
--3.1666666666666665,-2.3688040916215223,-2.3688029820985244,1.1095229979218857e-06
--2.333333333333333,-1.6168712179196967,-1.6168694848660623,1.7330536343784786e-06
--1.5,-0.91987426415539053,-0.91987234162510334,1.9225302871905825e-06
+-4,-3.1505164412789073,-3.1505168373917916,3.961128842711048e-07
+-3.1666666666666665,-2.3688040916215223,-2.368803935771886,1.5584963630743687e-07
+-2.333333333333333,-1.6168712179196967,-1.6168713922127855,1.7429308885041905e-07
+-1.5,-0.91987426415539053,-0.91987424897182657,1.5183563961684854e-08
 """,
     6: """a,b_fs_closed,b_fs_numeric,abs_err
--4,-3.1888722860050907,-3.1888707191756209,1.5668294697235297e-06
--3.1666666666666665,-2.4134516708260496,-2.4134501543806772,1.5164453723848226e-06
--2.333333333333333,-1.6673482179371462,-1.66734550871214,2.7092250061144796e-06
--1.5,-0.97189708519884688,-0.97189426995576644,2.8152430804340156e-06
+-4,-3.1888722860050907,-3.1888726265223433,3.4051725261718957e-07
+-3.1666666666666665,-2.4134516708260496,-2.4134520617274,3.9090135039998586e-07
+-2.333333333333333,-1.6673482179371462,-1.6673483697322238,1.5179507761864386e-07
+-1.5,-0.97189708519884688,-0.9718971309758504,4.5777003521152437e-08
 """,
 }
 
@@ -304,19 +305,20 @@ def test_fs_curve_refusal_reports_both_ends(capsys, tmp_path, monkeypatch):
     assert err["code"] == "no_sign_change"
     context = err["context"]
     assert sorted(context) == ["hi", "lo", "mu_hi", "mu_lo"]
-    grid = spectrum._k1_half_grid(spectrum._fs_window(2, -1e-9, 1e-16), 0.01)
+    grid = spectrum._k1_half_grid(spectrum._fs_window(2, -1e-9, 1e-16), 0.05)
     assert spectrum._k1_step_positive(make_params(2, -1e-9, context["hi"]),
                                       grid) == (context["mu_hi"] > 0.0)
 
 
-# --T 10.005 has an even count (2000) of interior nodes, so the bisection
-# steps factor the even block whose centre coupling sits on the diagonal
+# --T 10.025 has an even count (400) of interior nodes at the step 0.05,
+# so the bisection steps factor the even block whose centre coupling sits
+# on the diagonal
 _PINNED_FS_CURVE_EVEN_COUNT = """a,b_fs_closed,b_fs_numeric,abs_err
--3,-2.1092410250817037,-2.1092409001856058,1.2489609790833356e-07
--2.5,-1.6431989494000636,-1.6431983475869332,6.018131304408314e-07
--2,-1.1944175803322663,-1.1944172828407627,2.9749150365354637e-07
--1.5,-0.77525512860841084,-0.77525445169874474,6.7690966609745828e-07
--1,-0.40858968733650158,-0.40858847811565835,1.2092208432346041e-06
+-3,-2.1092410250817037,-2.1092411047735631,7.9691859333763659e-08
+-2.5,-1.6431989494000636,-1.6431986951263058,2.5427375782705042e-07
+-2,-1.1944175803322663,-1.1944179540832467,3.7375098038694432e-07
+-1.5,-0.77525512860841084,-0.77525540537210658,2.7676369573903514e-07
+-1,-0.40858968733650158,-0.40858943178902041,2.5554748117606607e-07
 """
 
 
@@ -324,7 +326,7 @@ def test_fs_curve_bytes_are_pinned_at_an_even_interior_count(
         capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["fs-curve", "--N", "3", "--a-min=-3", "--a-max=-1",
-                 "--steps", "5", "--T", "10.005"]) == 0
+                 "--steps", "5", "--T", "10.025"]) == 0
     assert capsys.readouterr() == (_PINNED_FS_CURVE_EVEN_COUNT, "")
 
 
@@ -848,12 +850,20 @@ _PINNED_ERRORS = [
                  "grid ends"}),
     # a step too coarse for the Numerov transform: h^2 (max V - min V) =
     # 16.1 >= 12.  A second-difference matrix gives mu2 = 1.476 here,
-    # against the closed form's 0
+    # against the closed form's 0.  The threshold search refuses
+    # h^2 kappa^2 = 17 >= 12 before any solve; on a second-difference
+    # matrix it reported no_sign_change from ends that miss the well
     (["spectrum", "--N", "3", "--a=-1", "--b=-0.5", "--dt", "2"],
      {"code": "invalid_step",
       "context": {"h": 2.0, "limit": 1.7262443796178737},
       "message": "step 2 is too coarse for the Numerov matrix: h^2 "
                  "(max V - min V) must stay below 12, so h below 1.72624"}),
+    (["fs-curve", "--N", "3", "--a-min=-1", "--a-max=-1", "--steps", "1",
+      "--dt", "2"],
+     {"code": "invalid_step",
+      "context": {"h": 2.0, "limit": 1.6803361008336117},
+      "message": "step 2 is too coarse for the Numerov matrix: h^2 "
+                 "(lam^2 + N - 1) must stay below 12, so h below 1.68034"}),
     # the spectrum table gets the same limit on its rows, checked before
     # the profile is sampled
     (["spectrum", "--N", "3", "--a=-1", "--b=-0.5", "--kmax", "2001"],

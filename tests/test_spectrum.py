@@ -55,28 +55,66 @@ def _extremal_operator(N, a, b, k, T=40.0, dx=0.01):
     return build_mode_operator(prof, k)
 
 
-def _stebz_lowest(op, count):
-    # the reference that shares no code with the certified solver: LAPACK's
-    # Sturm-count bisection on the same tridiagonal matrix
-    d, e = spectrum._tridiagonal(op.potential[1:-1], op.grid[1])
-    return scipy.linalg.eigvalsh_tridiagonal(
-        d, e, select="i", select_range=(0, count - 1), lapack_driver="stebz")
+def _numerov_diagonal(V, h, s):
+    # the diagonal of the Numerov matrix M(s) on the nodes of V, written
+    # out here rather than read from the solver
+    u = V - s
+    return 2.0 / h ** 2 + u / (1.0 - h * h * u / 12.0)
+
+
+def _sturm_bisection(op, count):
+    # the reference that shares no code with the certified solver:
+    # eigenvalue i = 0, 1, ... of the Numerov family is the s at which the
+    # Sturm count of the whole matrix M(s), its number of eigenvalues at or
+    # below 0, first exceeds i.  Every eigenvalue of M(s) falls as s
+    # rises, so bisect s on the sign of M(s)'s eigenvalue i, which
+    # LAPACK's stebz gives by Sturm counts
+    V, h = op.potential[1:-1], op.grid[1]
+    e = np.full(V.size - 1, -1.0 / h ** 2)
+
+    def counted(s, i):
+        theta = scipy.linalg.eigvalsh_tridiagonal(
+            _numerov_diagonal(V, h, s), e, select="i", select_range=(i, i),
+            lapack_driver="stebz")[0]
+        return theta <= 0.0
+
+    out = []
+    for i in range(count):
+        lo = hi = float(np.min(V))
+        while not counted(hi, i):
+            lo, hi = hi, hi + 2.0 * (hi - lo + 1.0)
+        while hi - lo > 1e-13 * max(1.0, abs(hi)):
+            mid = 0.5 * (lo + hi)
+            if counted(mid, i):
+                hi = mid
+            else:
+                lo = mid
+        out.append(0.5 * (lo + hi))
+    return out
+
+
+def _numerov_residual(op, rep):
+    # ||M(mu) z|| of a reported eigenpair, z = (1 - h^2 (V - mu)/12) y on
+    # the interior nodes, relative to the Gershgorin norm bound of M(mu)
+    V, h = op.potential[1:-1], op.grid[1]
+    d = _numerov_diagonal(V, h, rep.mu)
+    z = rep.eigenvector[1:-1] * (1.0 - h * h * (V - rep.mu) / 12.0)
+    z /= np.linalg.norm(z)
+    mz = d * z
+    mz[:-1] -= z[1:] / h ** 2
+    mz[1:] -= z[:-1] / h ** 2
+    norm = np.max(np.abs(d)) + 2.0 / h ** 2
+    return np.linalg.norm(mz) / norm
 
 
 def _stebz_principal(op):
-    return float(_stebz_lowest(op, 1)[0])
+    return _sturm_bisection(op, 1)[0]
 
 
-def _residual(op, rep):
-    # ||T x - mu x|| of a reported eigenpair on the interior nodes, relative
-    # to the Gershgorin norm bound of T
-    d, e = spectrum._tridiagonal(op.potential[1:-1], op.grid[1])
-    x = rep.eigenvector[1:-1]
-    tx = d * x
-    tx[:-1] += e * x[1:]
-    tx[1:] += e * x[:-1]
-    norm = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
-    return np.linalg.norm(tx - rep.mu * x) / norm
+def _search_step(N, a):
+    # the threshold search's step without dx, h = min(0.05, 2/kappa),
+    # kappa = sqrt(lam^2 + N - 1), written out here
+    return min(0.05, 2.0 / math.hypot((N - 2) / 2.0 - a, math.sqrt(N - 1.0)))
 
 
 def pt_eigenvalue(params, k, n):
@@ -214,6 +252,38 @@ def test_fs_mode_eigenvalue_monotone_in_b():
     assert np.all(np.diff(vals) > 0)
 
 
+@pytest.mark.parametrize("N, a", [(2, -1.0), (4, -3.0), (6, -10.0)])
+def test_fs_mode_eigenvalue_converges_at_fourth_order(N, a):
+    # on the closed-form curve the k = 1 principal eigenvalue is 0, so
+    # |fs_mode_eigenvalue| is the Numerov matrix's error; halving the step
+    # cuts it about 16-fold (4-fold for a second difference)
+    params = make_params(N, a, b_fs(N, a))
+    T = spectrum._fs_window(N, a, 1e-16)
+    coarse, fine = (abs(fs_mode_eigenvalue(params, T=T, dx=h))
+                    for h in (0.2, 0.1))
+    assert 12.0 <= coarse / fine <= 20.0
+
+
+@pytest.mark.parametrize("N, a, h", [(4, -2.0, 0.05), (3, -100.0, None),
+                                     (2, -2500.0, None)])
+def test_threshold_step_is_sized_from_the_parameters(monkeypatch, N, a, h):
+    # without dx the search builds its one grid at h = min(0.05, 2/kappa),
+    # the step at which M(0) has h^2 kappa^2 = 4 once 2/kappa binds
+    grids = []
+    half_grid = spectrum._k1_half_grid
+
+    def recording(T, step):
+        grids.append((T, step))
+        return half_grid(T, step)
+
+    monkeypatch.setattr(spectrum, "_k1_half_grid", recording)
+    find_fs_threshold(N, a, 1e-3)
+    step = _search_step(N, a)
+    kappa = math.sqrt(((N - 2) / 2.0 - a) ** 2 + N - 1.0)
+    assert step == (h or pytest.approx(2.0 / kappa, rel=1e-15))
+    assert grids == [(spectrum._fs_window(N, a, 1e-16), step)]
+
+
 def test_threshold_matches_closed_form():
     found = find_fs_threshold(3, -0.5, 1e-6)
     assert abs(found - b_fs(3, -0.5)) <= 1e-3
@@ -315,14 +385,15 @@ def test_inertia_bisection_matches_eigensolve_bisection(monkeypatch, N, a):
     # upper one with its first step; recording both gives the reference
     # bisection the same bracket.  The reference decides each step on the
     # eigenvalue of the sampled operator, the search on the inertia of the
-    # amplitude-free one
+    # amplitude-free one, both on the search's own grid
     solved, steps = _record_ends(monkeypatch)
     found = find_fs_threshold(N, a, 1e-6)
     assert len(solved) == 1
+    T, h = spectrum._fs_window(N, a, 1e-16), _search_step(N, a)
     lo, hi = solved[0], steps[0]
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if fs_mode_eigenvalue(make_params(N, a, mid)) < 0.0:
+        if fs_mode_eigenvalue(make_params(N, a, mid), T=T, dx=h) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -332,7 +403,7 @@ def test_inertia_bisection_matches_eigensolve_bisection(monkeypatch, N, a):
     lo, hi = solved[0], steps[0]
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        op = spectrum._fs_mode_operator(make_params(N, a, mid), 40.0, 0.01)
+        op = spectrum._fs_mode_operator(make_params(N, a, mid), T, h)
         if _stebz_principal(op) < 0.0:
             lo = mid
         else:
@@ -342,14 +413,16 @@ def test_inertia_bisection_matches_eigensolve_bisection(monkeypatch, N, a):
 
 def _near_threshold(a, offset, decades):
     # for N = 2..6 and both interior node parities, a k = 1 point whose b
-    # is offset * 10^-decades from the threshold, and its window: the
-    # search's own, an integer T with an odd interior count, or T = 10.005,
-    # whose interior count 2000 is even
+    # is offset * 10^-decades from the threshold, its window and the
+    # search's step h = 0.05 there: the search's own window, an integer T
+    # with an odd interior count, or T = 10.025, whose interior count 400
+    # is even
     for N in range(2, 7):
         params = make_params(N, a, find_fs_threshold(N, a, 1e-6)
                              + offset * 10.0 ** -decades)
-        yield params, spectrum._fs_window(N, a, 1e-16)
-        yield params, 10.005
+        assert _search_step(N, a) == 0.05
+        yield params, spectrum._fs_window(N, a, 1e-16), 0.05
+        yield params, 10.025, 0.05
 
 
 _NEAR_THRESHOLD = dict(a=st.floats(-4.0, -0.2),
@@ -363,10 +436,10 @@ def test_inertia_sign_matches_principal_eigenvalue(a, offset, decades):
     # a bisection step and the bracket ends read the same sign: the even
     # half block's inertia against the certified principal eigenvalue of
     # the whole sampled operator that the ends solve
-    for params, T in _near_threshold(a, offset, decades):
-        mu = fs_mode_eigenvalue(params, T=T)
+    for params, T, h in _near_threshold(a, offset, decades):
+        mu = fs_mode_eigenvalue(params, T=T, dx=h)
         if abs(mu) > 1e-9:
-            grid = spectrum._k1_half_grid(T, 0.01)
+            grid = spectrum._k1_half_grid(T, h)
             assert spectrum._k1_step_positive(params, grid) == (mu > 0.0)
 
 
@@ -374,12 +447,12 @@ def test_inertia_sign_matches_principal_eigenvalue(a, offset, decades):
 @given(**_NEAR_THRESHOLD)
 def test_inertia_sign_of_the_step_operator(a, offset, decades):
     # the half block's sign against the Sturm count (stebz) of the whole
-    # sampled k = 1 matrix on the same centred grid, which shares no code
-    # with the dpttrf certificates
-    for params, T in _near_threshold(a, offset, decades):
-        ref = _stebz_principal(spectrum._fs_mode_operator(params, T, 0.01))
+    # sampled k = 1 Numerov matrix on the same centred grid, which shares
+    # no code with the dpttrf certificates
+    for params, T, h in _near_threshold(a, offset, decades):
+        ref = _stebz_principal(spectrum._fs_mode_operator(params, T, h))
         if abs(ref) > 1e-9:
-            grid = spectrum._k1_half_grid(T, 0.01)
+            grid = spectrum._k1_half_grid(T, h)
             assert spectrum._k1_step_positive(params, grid) == (ref > 0.0)
 
 
@@ -396,12 +469,12 @@ def test_inertia_test_rejects_a_non_finite_potential(bad):
     # LAPACK's pivot test d <= 0 is false for NaN: a NaN entry of the
     # step's diagonal (kinetic term plus potential) would read as positive
     # definite if it reached the factorization, and -inf as a failed pivot
-    t, diag, off = spectrum._k1_half_grid(40.0, 0.01)
+    t, diag, off, c = spectrum._k1_half_grid(40.0, 0.01)
     diag = diag.copy()
     diag[2000] = bad
     with pytest.raises(NotConverged, match="non-finite potential"):
         spectrum._k1_step_positive(make_params(3, -1.0, -0.5),
-                                   (t, diag, off))
+                                   (t, diag, off, c))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -439,16 +512,15 @@ def _guarded_ends(monkeypatch, N, a):
 
 def _bracket_operators(monkeypatch, N, a_values):
     # the k=1 operators at the two ends and the midpoint of the threshold
-    # search's guarded bracket: the sampled extremal's at the lower end and
-    # the midpoint, the amplitude-free one at the upper end, where p - 2 =
-    # 1e-9 and no amplitude is representable
-    for a in a_values:
-        lo, hi = _guarded_ends(monkeypatch, N, float(a))
+    # search's guarded bracket, on its own grid: the sampled extremal's at
+    # the lower end and the midpoint, the amplitude-free one at the upper
+    # end, where p - 2 = 1e-9 and no amplitude is representable
+    for a in map(float, a_values):
+        lo, hi = _guarded_ends(monkeypatch, N, a)
+        T, h = spectrum._fs_window(N, a, 1e-16), _search_step(N, a)
         for b in (lo, 0.5 * (lo + hi)):
-            yield spectrum._fs_mode_operator(make_params(N, float(a), b),
-                                             40.0, 0.01)
-        yield _amplitude_free_operator(make_params(N, float(a), hi),
-                                       40.0, 0.01)
+            yield spectrum._fs_mode_operator(make_params(N, a, b), T, h)
+        yield _amplitude_free_operator(make_params(N, a, hi), T, h)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
@@ -461,7 +533,7 @@ def test_principal_solve_matches_sturm_bisection(monkeypatch, N):
         assert v[0] == v[-1] == 0.0
         assert np.all(v[1:-1] > 0.0)
         assert np.isclose(np.linalg.norm(v), 1.0, rtol=1e-12)
-        assert _residual(op, rep) <= 1e-8
+        assert _numerov_residual(op, rep) <= 1e-8
 
 
 def test_principal_solve_factors_without_an_eigensolve(monkeypatch):
@@ -485,9 +557,6 @@ def test_principal_solve_factors_without_an_eigensolve(monkeypatch):
                 m.setattr(scipy.linalg.lapack, "dpttrf", counting)
                 factored.clear()
                 principal_eigenvalue(op, asymptote_tol=math.inf)
-                assert 1 <= len(factored) <= 15
-                factored.clear()
-                mode_eigenvalues(op, 1, asymptote_tol=math.inf)
                 assert 1 <= len(factored) <= 15
 
 
@@ -585,25 +654,41 @@ def test_threshold_samples_the_extremal_only_at_its_lower_end(monkeypatch):
 def test_refusal_eigensolves_the_upper_end_on_its_half_block():
     # a refusal carries mu_hi, the principal eigenvalue of the step's even
     # half block at hi; it agrees with Sturm bisection on the whole
-    # amplitude-free matrix there, where the sampled amplitude underflows
+    # amplitude-free Numerov matrix there, where the sampled amplitude
+    # underflows
     with pytest.raises(NoSignChange) as info:
         find_fs_threshold(2, -1e-9, 1e-6)
     context = info.value.context
     op = _amplitude_free_operator(make_params(2, -1e-9, context["hi"]),
-                                  spectrum._fs_window(2, -1e-9, 1e-16), 0.01)
+                                  spectrum._fs_window(2, -1e-9, 1e-16),
+                                  _search_step(2, -1e-9))
     ref = _stebz_principal(op)
     assert abs(context["mu_hi"] - ref) <= 1e-11 * max(1.0, abs(ref))
     assert context["mu_lo"] > 0.0
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("a", [-2500.0, -1e4])
+def test_threshold_far_out_matches_the_closed_form(N, a):
+    # at the step 2/kappa the lower end has p - 2 >= 0.2, where the sampled
+    # amplitude stays in range (at dx = 0.01 it overflowed at about
+    # a <= -2,000); the grid has up to 130,000 nodes here
+    assert abs(find_fs_threshold(N, a, 1e-6) - b_fs(N, a)) <= 1e-6
+
+
 @pytest.mark.parametrize("N", [2, 3, 6])
-@pytest.mark.parametrize("a", [-2500.0, -1e7, -4e15])
+@pytest.mark.parametrize("a", [-1e5, -1e7, -4e15])
 def test_threshold_far_out_is_a_typed_error(N, a):
-    # the lower end's sampled amplitude overflows at about a <= -2,000;
-    # further out b - a rounds to 1 and the bracket empties, which must
-    # stay typed (p - 2 = 0 would divide by zero in the step)
-    with pytest.raises(CknLabError):
+    # at a = -1e5 the threshold's p - 2 ~ (N - 1)/lam^2 lies below the
+    # upper end's 1e-9, where the k = 1 eigenvalue is still negative;
+    # further out the grid passes the node budget, and then b - a rounds
+    # to 1 and the bracket empties, which must stay typed (p - 2 = 0 would
+    # divide by zero in the step)
+    with pytest.raises(CknLabError) as info:
         find_fs_threshold(N, a, 1e-6)
+    if a == -1e5:
+        assert isinstance(info.value, NoSignChange)
+        assert info.value.context["mu_lo"] < info.value.context["mu_hi"] < 0.0
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
@@ -621,14 +706,15 @@ def test_every_admissible_a_gets_a_threshold_or_a_typed_error(N):
 
 def _whole_matrix_step(params, T, dx):
     # the bisection step before the half block: V_1 from exp(2 ln sech) on
-    # all n nodes of [-T, -T + (n-1) dx], and dpttrf on the whole
-    # (n-2)-row matrix
+    # all n nodes of the centred grid, and dpttrf on the whole (n-2)-row
+    # Numerov matrix M(0)
     form = extremal_form(params)
     n = window_nodes(T, dx)
-    sech2 = np.exp(2.0 * _log_sech(form.rate * (-T + dx * np.arange(n))))
+    t = dx * (np.arange(n) - (n - 1) / 2.0)
+    sech2 = np.exp(2.0 * _log_sech(form.rate * t))
     depth = params.p * params.lam * params.lam / 2.0
     V = params.lam ** 2 + (params.N - 1.0) - (params.p - 1.0) * (depth * sech2)
-    d = 2.0 / dx ** 2 + V[1:-1]
+    d = _numerov_diagonal(V[1:-1], dx, 0.0)
     assert np.isfinite(d).all()
     e = np.full(n - 3, -1.0 / dx ** 2)
     return scipy.linalg.lapack.dpttrf(d, e)[2] == 0
@@ -638,10 +724,11 @@ def _whole_matrix_step(params, T, dx):
 def test_half_block_thresholds_match_the_whole_matrix(monkeypatch, N):
     # the search against the same bisection stepped on the whole matrix,
     # from the same two ends: at the search's own window (an odd interior
-    # count) and, where tol 1e-3 allows it, at T = 10.005 (an even one)
+    # count) and, where tol 1e-3 allows it, at T = 10.025 (an even one at
+    # the search's step 0.05)
     cases = [(a, 1e-6, None) for a in (-0.3, -1.0, -2.5, -4.0, -8.0)]
-    cases += [(a, 1e-3, 10.005) for a in (-1.0, -2.5, -4.0, -8.0)
-              if spectrum._fs_window(N, a, 1e-3) <= 10.005]
+    cases += [(a, 1e-3, 10.025) for a in (-1.0, -2.5, -4.0, -8.0)
+              if spectrum._fs_window(N, a, 1e-3) <= 10.025]
     for a, tol, T in cases:
         with monkeypatch.context() as m:
             solved, steps = _record_ends(m)
@@ -650,7 +737,8 @@ def test_half_block_thresholds_match_the_whole_matrix(monkeypatch, N):
         lo, hi = solved[0], steps[0]
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if _whole_matrix_step(make_params(N, a, mid), window, 0.01):
+            if _whole_matrix_step(make_params(N, a, mid), window,
+                                  _search_step(N, a)):
                 hi = mid
             else:
                 lo = mid
@@ -665,17 +753,21 @@ def test_each_step_factors_the_half_block(monkeypatch, N, a, tol, T):
     # with the lower end stood in by -1, every dpttrf call is a step's,
     # the first at the upper end: each factors the ceil((n-2)/2) rows of
     # the even half block on the t >= 0 interior nodes of the lower end's
-    # centred grid, and no step builds a ModeOperator.  2T/dx is not an
-    # integer at T = 12.3456, where the centred grid starts at
-    # -(n-1) dx / 2 = -12.345, not at -T.  Each factored block is the even
-    # parity block of the sampled operator that the lower end eigensolves,
-    # at the step's b, and at the upper end, which has no sampled
-    # extremal, of the amplitude-free operator on the same grid
+    # centred grid, and no step builds a ModeOperator.  The search's own
+    # step is h = 0.05 at (4, -2); an explicit T comes here with an
+    # explicit step 0.01, which gives even interior counts (2000 and
+    # 2468).  2T/h is not an integer at T = 12.3456, where the centred
+    # grid starts at -(n-1) h / 2 = -12.345, not at -T.  Each factored
+    # block is the even parity block of the Numerov matrix M(0) of the
+    # sampled operator that the lower end eigensolves, at the step's b,
+    # and at the upper end, which has no sampled extremal, of the
+    # amplitude-free operator on the same grid
     window = spectrum._fs_window(N, a, 1e-16) if T is None else T
-    n = window_nodes(window, 0.01)
-    t = spectrum._k1_half_grid(window, 0.01)[0]
+    h = _search_step(N, a) if T is None else 0.01
+    n = window_nodes(window, h)
+    t = spectrum._k1_half_grid(window, h)[0]
     t0, dt, _ = spectrum._fs_mode_operator(make_params(N, a, a + 0.5),
-                                           window, 0.01).grid
+                                           window, h).grid
     nodes = t0 + dt * np.arange(n)
     assert np.max(np.abs(nodes[-1 - t.size:-1] - t)) <= 1e-12
     blocks, steps, built = [], [], []
@@ -699,7 +791,7 @@ def test_each_step_factors_the_half_block(monkeypatch, N, a, tol, T):
     monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", counting)
     monkeypatch.setattr(spectrum, "_k1_step_positive", stepping)
     monkeypatch.setattr(spectrum, "ModeOperator", operator)
-    find_fs_threshold(N, a, tol, T=T)
+    find_fs_threshold(N, a, tol, T=T, dx=None if T is None else h)
     monkeypatch.undo()
     assert (n - 2) % 2 == (0 if T else 1)
     assert len(blocks) >= 9
@@ -709,9 +801,10 @@ def test_each_step_factors_the_half_block(monkeypatch, N, a, tol, T):
     for b, (d, e) in zip(steps, blocks):
         build = (_amplitude_free_operator if b == steps[0]
                  else spectrum._fs_mode_operator)
-        op = build(make_params(N, a, b), window, 0.01)
+        op = build(make_params(N, a, b), window, h)
         d_end, e_end = spectrum._parity_blocks(
-            *spectrum._tridiagonal(op.potential[1:-1], op.grid[1]))[0]
+            _numerov_diagonal(op.potential[1:-1], h, 0.0),
+            np.full(n - 3, -1.0 / h ** 2))[0]
         assert e.tobytes() == e_end.tobytes()
         assert np.max(np.abs(d - d_end) / np.abs(d_end)) <= 1e-12
 
@@ -728,58 +821,6 @@ def _table_step(params):
     # the spectrum command's step without --dt: a tenth of the ground
     # state's decay length 2/(|lam| p)
     return 0.2 / (abs(params.lam) * params.p)
-
-
-def _numerov_diagonal(V, h, s):
-    # the diagonal of the Numerov matrix M(s) on the nodes of V, written
-    # out here rather than read from the solver
-    u = V - s
-    return 2.0 / h ** 2 + u / (1.0 - h * h * u / 12.0)
-
-
-def _sturm_bisection(op, count):
-    # the reference that shares no code with the certified solver:
-    # eigenvalue i = 0, 1, ... of the Numerov family is the s at which the
-    # Sturm count of the whole matrix M(s), its number of eigenvalues at or
-    # below 0, first exceeds i.  Every eigenvalue of M(s) falls as s
-    # rises, so bisect s on the sign of M(s)'s eigenvalue i, which
-    # LAPACK's stebz gives by Sturm counts
-    V, h = op.potential[1:-1], op.grid[1]
-    e = np.full(V.size - 1, -1.0 / h ** 2)
-
-    def counted(s, i):
-        theta = scipy.linalg.eigvalsh_tridiagonal(
-            _numerov_diagonal(V, h, s), e, select="i", select_range=(i, i),
-            lapack_driver="stebz")[0]
-        return theta <= 0.0
-
-    out = []
-    for i in range(count):
-        lo = hi = float(np.min(V))
-        while not counted(hi, i):
-            lo, hi = hi, hi + 2.0 * (hi - lo + 1.0)
-        while hi - lo > 1e-13 * max(1.0, abs(hi)):
-            mid = 0.5 * (lo + hi)
-            if counted(mid, i):
-                hi = mid
-            else:
-                lo = mid
-        out.append(0.5 * (lo + hi))
-    return out
-
-
-def _numerov_residual(op, rep):
-    # ||M(mu) z|| of a reported eigenpair, z = (1 - h^2 (V - mu)/12) y on
-    # the interior nodes, relative to the Gershgorin norm bound of M(mu)
-    V, h = op.potential[1:-1], op.grid[1]
-    d = _numerov_diagonal(V, h, rep.mu)
-    z = rep.eigenvector[1:-1] * (1.0 - h * h * (V - rep.mu) / 12.0)
-    z /= np.linalg.norm(z)
-    mz = d * z
-    mz[:-1] -= z[1:] / h ** 2
-    mz[1:] -= z[:-1] / h ** 2
-    norm = np.max(np.abs(d)) + 2.0 / h ** 2
-    return np.linalg.norm(mz) / norm
 
 
 def _check_split(op, tol):
