@@ -225,6 +225,28 @@ def _shoot_substeps(params: CknParams, dt: float, n_profile: float) -> int:
     return int(sub)
 
 
+def _itp_probe(lo: float, hi: float, g_lo: float, g_hi: float,
+               delta: float, eps: float, left: int) -> float:
+    """The next probe in (lo, hi) of an ITP root search (Oliveira &
+    Takahashi, ACM TOMS 47 (2020)) on g with g_lo > 0 > g_hi: the secant
+    root of g, moved toward the midpoint by ``delta``, then projected
+    into the radius r = eps 2^left - (hi - lo)/2 of the midpoint, where
+    ``left`` is the caller's n_max - j.  The projection keeps the count
+    within n0 probes of bisection's to width 2 eps, for n_max the
+    bisection count plus n0.  Any other pair of values (a NaN included)
+    gives the midpoint, as does a probe that rounds onto an end."""
+    mid = 0.5 * (lo + hi)
+    if not g_lo > 0.0 > g_hi:
+        return mid
+    width = hi - lo
+    m_f = lo + width * (g_lo / (g_lo - g_hi))
+    gap = mid - m_f
+    m_t = m_f + math.copysign(delta, gap) if delta <= abs(gap) else mid
+    r = max(0.0, eps * 2.0 ** left - 0.5 * width)
+    m = m_t if abs(m_t - mid) <= r else mid - math.copysign(r, gap)
+    return m if lo < m < hi else mid
+
+
 def shoot_homoclinic(params: CknParams, t_max: float, tol: float,
                      dt: float = 0.01) -> LogGridProfile:
     """Recover the homoclinic orbit by a root search on the peak value.
@@ -308,30 +330,19 @@ def shoot_homoclinic(params: CknParams, t_max: float, tol: float,
     # search all the way to rounding so the undershoot trajectory tracks
     # the homoclinic until deep below the tail-patch trigger; the caller's
     # tol only states the guarantee on the returned amplitude.  The event
-    # alone moves the bracket; g only picks the probe, by ITP (Oliveira &
-    # Takahashi, ACM TOMS 47 (2020)): interpolate g, truncate toward the
-    # midpoint by delta, project into r of it.  The projection keeps the
-    # count within n0 = 1 probe of bisection's to width 2 eps.  delta goes
-    # as width^1.5: with the usual width^2 it fell below the rounding of g
-    # while one end of the bracket stalled, and the mean over the shoot
-    # workload's band rose from 17 to 20 probes
+    # alone moves the bracket; g only picks the probe, by ITP
+    # (:func:`_itp_probe`, n0 = 1).  delta goes as width^1.5: with the
+    # usual width^2 it fell below the rounding of g while one end of the
+    # bracket stalled, and the mean over the shoot workload's band rose
+    # from 17 to 20 probes
     eps = 2e-16 * w_eq
     n_max = 53  # ceil(log2(w_eq / (2 eps))) + n0
     for j in range(200):
         width = hi - lo
         if width <= 4e-16 * lo:
             break
-        mid = 0.5 * (lo + hi)
-        m = mid
-        if g_lo > 0.0 > g_hi:
-            m_f = lo + width * (g_lo / (g_lo - g_hi))
-            gap = mid - m_f
-            delta = 0.2 * w_eq * (width / w_eq) ** 1.5
-            m_t = m_f + math.copysign(delta, gap) if delta <= abs(gap) else mid
-            r = max(0.0, eps * 2.0 ** (n_max - j) - 0.5 * width)
-            m = m_t if abs(m_t - mid) <= r else mid - math.copysign(r, gap)
-            if not lo < m < hi:
-                m = mid
+        m = _itp_probe(lo, hi, g_lo, g_hi,
+                       0.2 * w_eq * (width / w_eq) ** 1.5, eps, n_max - j)
         ev, t_ev, g = probe(m)
         if ev == 1:
             hi, g_hi = m, g

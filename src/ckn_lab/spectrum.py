@@ -46,7 +46,7 @@ from .errors import (
 from .params import CknParams, make_params
 from .profiles import (LogGridProfile, extremal_form, sample_extremal,
                        window_nodes)
-from .radial import residual_autonomous
+from .radial import _itp_probe, residual_autonomous
 
 __all__ = [
     "ModeOperator",
@@ -385,8 +385,8 @@ def principal_eigenvalue(op: ModeOperator, *,
     of the whole matrix, with its O(h^4) error, its step limit
     h^2 (max V - min V) < 12 (InvalidStep) and its refusal of a
     non-finite potential (NotConverged).  The threshold search's lower
-    end (:func:`fs_mode_eigenvalue`) solves it, and its bisection steps
-    factor the even half block of the same family at s = 0.
+    end (:func:`fs_mode_eigenvalue`) solves it, and its probes factor the
+    even half block of the same family at s = 0.
 
     Each shift is certified below the eigenvalue by an LDL^T
     factorization, each root of the Rayleigh functional bounds it from
@@ -481,7 +481,7 @@ def mode_eigenvalues(op: ModeOperator, count: int = 2, *,
 
 def _fs_mode_operator(params: CknParams, T: float, dx: float) -> ModeOperator:
     # the k=1 operator on the centred grid t0 = -(n-1) dx / 2 of the
-    # bisection steps (_k1_half_grid), residual-gated by build_mode_operator
+    # threshold probes (_k1_half_grid), residual-gated by build_mode_operator
     if params.lam <= 0:
         raise WrongRegime("k=1 criterion applies below the critical weight",
                           a=params.a, a_c=params.a_c)
@@ -566,22 +566,37 @@ def _k1_half_block(params: CknParams, grid):
     return d, off, V
 
 
-def _k1_step_positive(params: CknParams, grid) -> bool:
-    """One bisection step: whether the k=1 principal eigenvalue at
-    ``params`` is positive on the grid of :func:`_k1_half_grid`.
+def _k1_centre_pivot(params: CknParams, grid) -> float:
+    """The threshold search's one evaluation at ``params``: the last
+    pivot of the even half block (:func:`_k1_half_block`, which refuses
+    the NaN that passes the pivot test) of the k=1 Numerov matrix M(0) on
+    the grid of :func:`_k1_half_grid`, factored by LAPACK dpttrf in
+    reverse order, from the wall row to the centre row.
 
-    V_1 is even and its ground state symmetric, so the whole matrix M(0)
-    is positive definite exactly when its even half block
-    (:func:`_k1_half_block`, which refuses the NaN that passes the pivot
-    test) is, and by Sylvester's law of inertia exactly when LAPACK dpttrf
-    factors that block (it stops at the first pivot d <= 0).  Every
-    eigenvalue of M(s) falls as s rises, so that is exactly when the
-    Numerov eigenvalue mu_1 is positive.
+    V_1 is even and its ground state symmetric, so M(0) is positive
+    definite exactly when its even half block is, and by Sylvester's law
+    of inertia exactly when every pivot is positive; every eigenvalue of
+    M(s) falls as s rises, so that is exactly when the Numerov mu_1 is.
+    The leading blocks of the reverse order leave out the centre row: the
+    largest is the odd block (:func:`_parity_blocks`) of an odd interior
+    count, or that block less its first row for an even count.  By Cauchy
+    interlacing each has its lowest eigenvalue at or above the odd
+    state's, which in the continuum is the translation mode lifted by the
+    k=1 level, N - 1 > 0.  So only the last pivot, 1/(M^-1)_cc at the
+    centre row, can fail while the discrete odd state stays positive.
+    That pivot has the sign of mu_1 and a simple root at the threshold,
+    and dpttrf leaves it in d[-1] both when it factors (info = 0) and
+    when it stops at the last row (info = n).  A stop before the last row
+    (info in 1..n-1) means the odd state is below 0 too, which happens on
+    the coarse wells at the bottom of deep brackets; mu_1 < 0 there, and
+    the pivot is NaN: negative, with no value.
     """
     # imported on first use: commands that never solve start without scipy
     from scipy.linalg.lapack import dpttrf
 
-    return dpttrf(*_k1_half_block(params, grid)[:2], overwrite_d=1)[2] == 0
+    d, off, _ = _k1_half_block(params, grid)
+    fd, _, info = dpttrf(d[::-1], off[::-1], overwrite_d=1)
+    return float(fd[-1]) if info in (0, d.size) else math.nan
 
 
 def _fs_window(N: int, a: float, eps: float) -> float:
@@ -611,9 +626,9 @@ def _pm2_to_gap(N: int, eps: float) -> float:
 def find_fs_threshold(N: int, a: float, tol: float, *,
                       T: Optional[float] = None,
                       dx: Optional[float] = None) -> float:
-    """Locate the symmetry-breaking threshold by sign bisection in b.
+    """Locate the symmetry-breaking threshold by an ITP search in b.
 
-    Bisects the sign of the k=1 principal eigenvalue of the Numerov
+    Finds the sign change of the k=1 principal eigenvalue of the Numerov
     matrix (:class:`_Numerov`) over b in (a, a+1).  The lower end is
     guarded where the well becomes narrower than the grid resolves,
     p - 2 = 0.4/(lam h), a well 1/gamma = 5h wide (binding for N = 2,
@@ -622,17 +637,33 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
     a sign change, which is what the rejected sign convention of the
     closed-form curve would produce.
 
-    Every step and the upper end read the sign alone
-    (:func:`_k1_step_positive`) from an LDL^T inertia test of the even
-    half block, the ceil((n-2)/2) nodes t >= 0 of the centred grid, built
-    once per threshold; that potential never forms the amplitude, which
-    overflows at the upper end.  Only the lower end is eigensolved, on the
-    sampled extremal's operator (:func:`fs_mode_eigenvalue`), because
-    perfbench's traced fs-curve run expects its five calls.  Only a
+    Every probe and the upper end read the centre pivot
+    (:func:`_k1_centre_pivot`) of the even half block, the ceil((n-2)/2)
+    nodes t >= 0 of the centred grid, built once per threshold: its sign
+    is that of mu_1 by an LDL^T inertia test, and its value is a smooth
+    function of b with a simple root at the threshold.  That potential
+    never forms the amplitude, which overflows at the upper end.  Only
+    the lower end is eigensolved, on the sampled extremal's operator
+    (:func:`fs_mode_eigenvalue`), because perfbench's traced fs-curve run
+    expects its five calls; one more pivot gives its value.  Only a
     refusal eigensolves the upper end, on its half block, for ``mu_hi``.
 
+    The probes are ITP's (Oliveira & Takahashi, ACM TOMS 47 (2020); the
+    rule of :func:`radial._itp_probe`, which shooting uses too) on the
+    pivot: the secant root, moved toward the midpoint and projected so
+    that the search takes at most one probe more than bisection from the
+    same ends to the same width tol.  The sign alone moves the bracket.
+    Where dpttrf stops before the centre row, the probe counts as
+    negative with no value, and the next probes are midpoints until the
+    lower end has a value again.  The answer is the secant root of the
+    last bracket's two pivots, moved toward its midpoint until it is
+    within tol/2 of both ends (the midpoint where the lower end has no
+    value): the same guarantee as bisection's midpoint, within tol/2 of
+    the discrete sign change, but much closer where ITP has put a probe
+    next to it.
+
     Without ``dx`` the step is h = min(0.05, 2/kappa),
-    kappa = sqrt(lam^2 + N - 1): the steps' matrix M(0) needs
+    kappa = sqrt(lam^2 + N - 1): the probes' matrix M(0) needs
     h^2 V_1 < 12 at every node, and V_1 is below its asymptote kappa^2,
     so h^2 kappa^2 stays at 4 or below.  An explicit ``dx`` with
     h^2 kappa^2 >= 12 is refused with InvalidStep before any solve, ``h``
@@ -648,16 +679,18 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
     eps = 1e-16, sized from (N, a) alone: the exponential tail 1/kappa of a
     narrow well and the Gaussian width of the wide sech^2 well at large
     |a|.  That is T = 37 at N = 2 near a = 0, 27 at (2, -1) and 6 at
-    (6, -10).  Thresholds are bit-identical to T = 40 on 220 points
-    (N = 2..6, 40 values of a in [-10, -0.05], and -0.01, -0.2, -9.9 and
-    -15).  A window from kappa alone moved the threshold by 5e-6 at
-    N = 2, a = -10.  An explicit ``T`` shorter than :func:`_fs_window` at
-    eps = tol is refused with InvalidStep: Dirichlet walls that close
-    lift the eigenvalue and move the sign change by more than tol.
+    (6, -10).  On 220 points (N = 2..6, 40 values of a in [-10, -0.05],
+    and -0.01, -0.2, -9.9 and -15) every probe of both searches has the
+    same sign at T = 40 as on this window; the pivot's last bits differ,
+    so 11 thresholds differ from T = 40 by 1 to 3 ulps.  A window from
+    kappa alone moved the threshold by 5e-6 at N = 2, a = -10.  An
+    explicit ``T`` shorter than :func:`_fs_window` at eps = tol is refused
+    with InvalidStep: Dirichlet walls that close lift the eigenvalue and
+    move the sign change by more than tol.
 
-    Monotonicity of the k=1 eigenvalue in b (required for bisection) holds
-    on all sampled families; it is asserted by the test suite rather than
-    assumed blindly.
+    Monotonicity of the k=1 eigenvalue in b (which a sign search needs)
+    holds on all sampled families; it is asserted by the test suite rather
+    than assumed blindly.
     """
     if tol < 1e-6:
         raise InvalidStep(f"tol must be >= 1e-6 (eigensolve resolution), got {tol}",
@@ -691,19 +724,37 @@ def find_fs_threshold(N: int, a: float, tol: float, *,
                            s_lo=s_lo, s_hi=s_hi, N=N, a=a)
     lo, hi = a + s_lo, a + s_hi
     grid = _k1_half_grid(T, dx)
-    f_lo = fs_mode_eigenvalue(make_params(N, a, lo), T=T, dx=dx)
+    bottom = make_params(N, a, lo)
+    f_lo = fs_mode_eigenvalue(bottom, T=T, dx=dx)
     top = make_params(N, a, hi)
-    if not (f_lo < 0.0 and _k1_step_positive(top, grid)):
+    pivot_hi = _k1_centre_pivot(top, grid) if f_lo < 0.0 else math.nan
+    if not pivot_hi > 0.0:
         _, off, V = _k1_half_block(top, grid)  # flat start from min V
         mu_hi = _principal_pair(1, _Numerov(grid[1], off, V, dx),
                                 np.ones(V.size), float(np.min(V)))[0]
         raise NoSignChange(
             "k=1 eigenvalue does not change sign across the guarded bracket",
             lo=lo, hi=hi, mu_lo=f_lo, mu_hi=mu_hi)
+    # ITP (:func:`radial._itp_probe`, n0 = 1, k1 = 0.2/w0, k2 = 2) on
+    # g = -pivot, positive at lo.  It stops where bisection does, at width
+    # tol, and eps = w0/2^(n+1) is half of bisection's last width
+    # w0/2^n <= tol, so it takes at most n + 1 probes; at eps = tol/2 a
+    # projected probe leaves a width of exactly tol, which rounding can
+    # put an ulp over, for n + 2.  The sign alone moves the bracket; a NaN
+    # pivot counts as negative, and the probes are midpoints until lo has
+    # a value again.  The answer is one more such probe with no
+    # truncation, projected into the radius (tol - width)/2 of the midpoint
+    pivot_lo = _k1_centre_pivot(bottom, grid)
+    k1 = 0.2 / (hi - lo)
+    n = max(0, math.ceil(math.log2((hi - lo) / tol)))
+    eps, left = math.ldexp(hi - lo, -n - 1), n + 1
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _k1_step_positive(make_params(N, a, mid), grid):
-            hi = mid
+        m = _itp_probe(lo, hi, -pivot_lo, -pivot_hi, k1 * (hi - lo) ** 2,
+                       eps, left)
+        pivot = _k1_centre_pivot(make_params(N, a, m), grid)
+        if pivot > 0.0:
+            hi, pivot_hi = m, pivot
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            lo, pivot_lo = m, pivot
+        left -= 1
+    return _itp_probe(lo, hi, -pivot_lo, -pivot_hi, 0.0, 0.5 * tol, 0)

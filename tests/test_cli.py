@@ -227,42 +227,43 @@ def test_fs_curve_rows_and_determinism(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
 
 
-# fs-curve CSVs pinned byte for byte: the bisection steps and the upper
-# bracket end factor the Numerov matrix of the amplitude-free k=1
+# fs-curve CSVs pinned byte for byte: the ITP probes and both bracket ends
+# read the centre pivot of the Numerov matrix of the amplitude-free k=1
 # potential, and the lower end eigensolves that of the sampled operator,
-# at the step 0.05 that min(0.05, 2/kappa) gives here.  Moving the lower
+# at the step 0.05 that min(0.05, 2/kappa) gives here; the answer is the
+# last bracket's secant root, kept within tol/2 of both ends.  Moving the lower
 # end onto the amplitude-free potential too (ROADMAP item 2) changes these
 # bytes on purpose.  Every N in 2..6 is pinned at the default window
 _PINNED_FS_CURVES = {
     2: """a,b_fs_closed,b_fs_numeric,abs_err
--4,-3.0298574998546681,-3.0298571591310313,3.4072363686021845e-07
--3.1666666666666665,-2.2130840015325246,-2.2130841695948789,1.6806235425548266e-07
--2.333333333333333,-1.4141883033152753,-1.4141885527570386,2.4944176324481759e-07
--1.5,-0.66794970566215628,-0.66794967689820661,2.8763949666554822e-08
+-4,-3.0298574998546681,-3.0298574996750443,1.7962387133252378e-10
+-3.1666666666666665,-2.2130840015325246,-2.2130841359140123,1.3438148771527381e-07
+-2.333333333333333,-1.4141883033152753,-1.4141883028403188,4.7495651855911092e-10
+-1.5,-0.66794970566215628,-0.66794970471388215,9.4827412588927018e-10
 """,
     3: """a,b_fs_closed,b_fs_numeric,abs_err
--4,-3.069002861991414,-3.0690028253478125,3.6643601486474608e-08
--3.1666666666666665,-2.2671549326947145,-2.26715462515038,3.0754433444357687e-07
--2.333333333333333,-1.4912280701754383,-1.4912278871562346,1.830192037921563e-07
--1.5,-0.77525512860841084,-0.77525540537210658,2.7676369573903514e-07
+-4,-3.069002861991414,-3.069003110332917,2.4834150291752621e-07
+-3.1666666666666665,-2.2671549326947145,-2.2671549303179974,2.3767170453936615e-09
+-2.333333333333333,-1.4912280701754383,-1.4912280665058166,3.6696217176057644e-09
+-1.5,-0.77525512860841084,-0.77525512243473094,6.1736799006339993e-09
 """,
     4: """a,b_fs_closed,b_fs_numeric,abs_err
--4,-3.1101776349538639,-3.1101773588675865,2.7608627739539315e-07
--3.1666666666666665,-2.3198745287838722,-2.3198740961115902,4.3267228200249974e-07
--2.333333333333333,-1.5586203145011055,-1.5586200694228918,2.4507821372310445e-07
--1.5,-0.85601012694642709,-0.85601055848195229,4.3153552520269756e-07
+-4,-3.1101776349538639,-3.1101776548290032,1.9875139312119927e-08
+-3.1666666666666665,-2.3198745287838722,-2.3198745206652633,8.1186088962681424e-09
+-2.333333333333333,-1.5586203145011055,-1.5586203027574626,1.1743642946981936e-08
+-1.5,-0.85601012694642709,-0.85601010893111718,1.8015309910524024e-08
 """,
     5: """a,b_fs_closed,b_fs_numeric,abs_err
--4,-3.1505164412789073,-3.1505168373917916,3.961128842711048e-07
--3.1666666666666665,-2.3688040916215223,-2.368803935771886,1.5584963630743687e-07
--2.333333333333333,-1.6168712179196967,-1.6168713922127855,1.7429308885041905e-07
--1.5,-0.91987426415539053,-0.91987424897182657,1.5183563961684854e-08
+-4,-3.1505164412789073,-3.150516426988859,1.4290048255816146e-08
+-3.1666666666666665,-2.3688040916215223,-2.368804072612527,1.9008995266744932e-08
+-2.333333333333333,-1.6168712179196967,-1.6168711916479879,2.6271708808423e-08
+-1.5,-0.91987426415539053,-0.91987414355545782,1.2059993270696623e-07
 """,
     6: """a,b_fs_closed,b_fs_numeric,abs_err
--4,-3.1888722860050907,-3.1888726265223433,3.4051725261718957e-07
--3.1666666666666665,-2.4134516708260496,-2.4134520617274,3.9090135039998586e-07
--2.333333333333333,-1.6673482179371462,-1.6673483697322238,1.5179507761864386e-07
--1.5,-0.97189708519884688,-0.9718971309758504,4.5777003521152437e-08
+-4,-3.1888722860050907,-3.1888722580176188,2.7987471895585259e-08
+-3.1666666666666665,-2.4134516708260496,-2.4134516345806047,3.6245444867688548e-08
+-2.333333333333333,-1.6673482179371462,-1.6673481695247909,4.8412355235782911e-08
+-1.5,-0.97189708519884688,-0.97189701820954877,6.6989298108666162e-08
 """,
 }
 
@@ -298,7 +299,7 @@ def test_fs_curve_matches_the_closed_form_out_to_a_minus_50(capsys, tmp_path,
 def test_fs_curve_refusal_reports_both_ends(capsys, tmp_path, monkeypatch):
     # at a = -1e-9 the threshold lies below the lower guard: the search
     # refuses, with the upper end's eigenvalue from its even half block,
-    # whose sign is the step's test at hi
+    # whose sign is that of the centre pivot at hi
     monkeypatch.chdir(tmp_path)
     err = _run_error(capsys, ["fs-curve", "--N", "2", "--a-min=-1e-9",
                               "--a-max=-1e-9", "--steps", "1"])
@@ -306,19 +307,20 @@ def test_fs_curve_refusal_reports_both_ends(capsys, tmp_path, monkeypatch):
     context = err["context"]
     assert sorted(context) == ["hi", "lo", "mu_hi", "mu_lo"]
     grid = spectrum._k1_half_grid(spectrum._fs_window(2, -1e-9, 1e-16), 0.05)
-    assert spectrum._k1_step_positive(make_params(2, -1e-9, context["hi"]),
-                                      grid) == (context["mu_hi"] > 0.0)
+    pivot = spectrum._k1_centre_pivot(make_params(2, -1e-9, context["hi"]),
+                                      grid)
+    assert (pivot > 0.0) == (context["mu_hi"] > 0.0)
 
 
 # --T 10.025 has an even count (400) of interior nodes at the step 0.05,
-# so the bisection steps factor the even block whose centre coupling sits
-# on the diagonal
+# so the probes factor the even block whose centre coupling sits on the
+# diagonal
 _PINNED_FS_CURVE_EVEN_COUNT = """a,b_fs_closed,b_fs_numeric,abs_err
--3,-2.1092410250817037,-2.1092411047735631,7.9691859333763659e-08
--2.5,-1.6431989494000636,-1.6431986951263058,2.5427375782705042e-07
--2,-1.1944175803322663,-1.1944179540832467,3.7375098038694432e-07
--1.5,-0.77525512860841084,-0.77525540537210658,2.7676369573903514e-07
--1,-0.40858968733650158,-0.40858943178902041,2.5554748117606607e-07
+-3,-2.1092410250817037,-2.1092410225049232,2.5767805666987442e-09
+-2.5,-1.6431989494000636,-1.6431989460571248,3.342938814654417e-09
+-2,-1.1944175803322663,-1.1944175758633926,4.4688737155240688e-09
+-1.5,-0.77525512860841084,-0.77525512243473016,6.1736806777901165e-09
+-1,-0.40858968733650158,-0.40858967855454376,8.7819578276082666e-09
 """
 
 

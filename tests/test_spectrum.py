@@ -45,7 +45,7 @@ from ckn_lab import (
 from ckn_lab import params as params_module
 from ckn_lab.profiles import _log_sech, window_nodes
 
-_sech2_tanh = spectrum._sech2_tanh  # the step's sech^2 source, unpatched
+_sech2_tanh = spectrum._sech2_tanh  # the probe's sech^2 source, unpatched
 
 
 def _extremal_operator(N, a, b, k, T=40.0, dx=0.01):
@@ -303,12 +303,90 @@ def test_threshold_window_values(N, a, T):
     assert spectrum._fs_window(N, a, 1e-16) == T
 
 
+def _record_probes(m, lower=None):
+    # the b of the search's one eigensolve (fs_mode_eigenvalue, its lower
+    # bracket end) and (b, pivot) of each of its centre pivots
+    # (_k1_centre_pivot): the upper end's first, then the lower end's,
+    # then one per interior probe; a given ``lower`` stands in for the
+    # lower end's eigenvalue
+    solved, probes = [], []
+    centre_pivot = spectrum._k1_centre_pivot
+
+    def eigensolve(params, **kwargs):
+        solved.append(params.b)
+        if lower is not None:
+            return lower
+        return fs_mode_eigenvalue(params, **kwargs)
+
+    def pivoting(params, grid):
+        pivot = centre_pivot(params, grid)
+        probes.append((params.b, pivot))
+        return pivot
+
+    m.setattr(spectrum, "fs_mode_eigenvalue", eigensolve)
+    m.setattr(spectrum, "_k1_centre_pivot", pivoting)
+    return solved, probes
+
+
+def _final_bracket(found, solved, probes, tol):
+    # the search's last bracket, read back from its probes: the highest b
+    # that is negative (the eigensolved lower end, or an interior pivot
+    # that is not positive) and the lowest with a positive pivot (the
+    # upper end or an interior one).  It is at most tol wide.  The answer
+    # is within tol/2 of both ends, so of every point between them, up to
+    # rounding: the secant root of the two ends' pivots, moved toward the
+    # midpoint as far as that needs, or the midpoint where the lower end
+    # has no value
+    (top, top_pivot), (bottom, bottom_pivot) = probes[:2]
+    assert bottom == solved[0] < top and top_pivot > 0.0
+    lo, p_lo = max([(bottom, bottom_pivot)]
+                   + [(b, pivot) for b, pivot in probes[2:]
+                      if not pivot > 0.0])
+    hi, p_hi = min([(top, top_pivot)]
+                   + [(b, pivot) for b, pivot in probes[2:] if pivot > 0.0])
+    assert 0.0 < hi - lo <= tol
+    slack = 4.0 * math.ulp(found)
+    assert hi - 0.5 * tol - slack <= found <= lo + 0.5 * tol + slack
+    if math.isnan(p_lo):
+        assert found == 0.5 * (lo + hi)
+    else:
+        secant = lo + (hi - lo) * p_lo / (p_lo - p_hi)
+        expected = min(max(secant, hi - 0.5 * tol), lo + 0.5 * tol)
+        assert abs(found - expected) <= slack
+    return lo, hi
+
+
+def _searched(monkeypatch, N, a, tol, T=None):
+    # the threshold, its eigensolved lower end and its probes
+    with monkeypatch.context() as m:
+        solved, probes = _record_probes(m)
+        found = find_fs_threshold(N, a, tol, T=T)
+    return found, solved, probes
+
+
+def _same_signs_on(N, a, probes, T):
+    # whether every probe's centre pivot has the same sign on the grid of
+    # window T at the search's step
+    grid = spectrum._k1_half_grid(T, _search_step(N, a))
+    return all((spectrum._k1_centre_pivot(make_params(N, a, b), grid) > 0.0)
+               == (pivot > 0.0) for b, pivot in probes)
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
-def test_automatic_window_matches_the_fixed_one_bit_for_bit(N):
+def test_automatic_window_matches_the_fixed_one_bit_for_bit(monkeypatch, N):
+    # the automatic window decides every probe as T = 40 does, and the
+    # other way round, so the two final brackets both straddle the same
+    # sign change, and on these points the answers are bit-identical.  ITP
+    # reads the pivot's value, whose last bits differ between the grids,
+    # so that is not so everywhere: see find_fs_threshold's docstring
     for a in (-0.01, -0.3, -2.0, -5.0, -9.9):
-        assert spectrum._fs_window(N, a, 1e-16) < 40.0
-        assert find_fs_threshold(N, a, 1e-6) == find_fs_threshold(
-            N, a, 1e-6, T=40.0)
+        window = spectrum._fs_window(N, a, 1e-16)
+        assert window < 40.0
+        auto = _searched(monkeypatch, N, a, 1e-6)
+        fixed = _searched(monkeypatch, N, a, 1e-6, T=40.0)
+        assert _same_signs_on(N, a, auto[2], 40.0)
+        assert _same_signs_on(N, a, fixed[2], window)
+        assert auto[0] == fixed[0]
 
 
 def test_threshold_window_never_reads_the_closed_form(monkeypatch):
@@ -320,52 +398,47 @@ def test_threshold_window_never_reads_the_closed_form(monkeypatch):
     monkeypatch.setattr(params_module, "b_fs", refused)
     assert spectrum._fs_window(3, -1.0, 1e-16) == 18.0
     assert find_fs_threshold(3, -1.0, 1e-6) == expected
-    assert find_fs_threshold(3, -1.0, 1e-6, T=7.0) == expected
+    found, solved, probes = _searched(monkeypatch, 3, -1.0, 1e-6, T=7.0)
+    _final_bracket(found, solved, probes, 1e-6)
+    assert _same_signs_on(3, -1.0, probes, 18.0)
 
 
-def test_threshold_refuses_a_window_shorter_than_the_well():
-    # the window at eps = tol is 7 at (3, -1); it searches bit for bit
-    # like T = 40, and every shorter T is refused
+def test_threshold_refuses_a_window_shorter_than_the_well(monkeypatch):
+    # the window at eps = tol is 7 at (3, -1); it decides every probe as
+    # T = 40 does, and every shorter T is refused
     assert spectrum._fs_window(3, -1.0, 1e-6) == 7.0
     with pytest.raises(InvalidStep) as info:
         find_fs_threshold(3, -1.0, 1e-6, T=6.99)
     assert info.value.context == {"T": 6.99, "window": 7.0, "N": 3, "a": -1.0}
-    assert find_fs_threshold(3, -1.0, 1e-6, T=7.0) == find_fs_threshold(
-        3, -1.0, 1e-6, T=40.0)
-    # a looser tol needs a shorter window
+    short = _searched(monkeypatch, 3, -1.0, 1e-6, T=7.0)
+    fixed = _searched(monkeypatch, 3, -1.0, 1e-6, T=40.0)
+    _final_bracket(*short, 1e-6)
+    assert _same_signs_on(3, -1.0, short[2], 40.0)
+    assert _same_signs_on(3, -1.0, fixed[2], 7.0)
+    # the walls at T = 7 move the sign change by 3e-11
+    assert abs(short[0] - fixed[0]) <= 1e-9
+    # a looser tol needs a shorter window.  Its walls move the sign change
+    # by less than tol, not by nothing: by 6.2e-6 at T = 4, so the last
+    # probes, which ITP puts next to the sign change, need not have the
+    # same sign at T = 40.  The answer is within tol/2 of the T = 4 sign
+    # change, and in fact within 1e-9 of it, so the T = 40 pivot changes
+    # sign within 1e-5 of the answer
     assert spectrum._fs_window(3, -1.0, 1e-3) == 4.0
-    assert find_fs_threshold(3, -1.0, 1e-3, T=4.0) == find_fs_threshold(
-        3, -1.0, 1e-3, T=40.0)
+    found, solved, probes = _searched(monkeypatch, 3, -1.0, 1e-3, T=4.0)
+    _final_bracket(found, solved, probes, 1e-3)
+    assert abs(found - find_fs_threshold(3, -1.0, 1e-3, T=40.0)) <= 1e-5
+    grid = spectrum._k1_half_grid(40.0, _search_step(3, -1.0))
+    assert not spectrum._k1_centre_pivot(make_params(3, -1.0, found - 1e-5),
+                                         grid) > 0.0
+    assert spectrum._k1_centre_pivot(make_params(3, -1.0, found + 1e-5),
+                                     grid) > 0.0
     # a tol past 1 needs no window at all
     assert spectrum._fs_window(3, -1.0, 2.0) == 0.0
     find_fs_threshold(3, -1.0, 2.0, T=0.5)
 
 
-def _record_ends(m, lower=None):
-    # the b of the search's one eigensolve (fs_mode_eigenvalue, its lower
-    # bracket end) and of each of its steps (_k1_step_positive), the first
-    # of which decides the upper end; a given ``lower`` stands in for the
-    # lower end's eigenvalue
-    solved, steps = [], []
-    step_positive = spectrum._k1_step_positive
-
-    def eigensolve(params, **kwargs):
-        solved.append(params.b)
-        if lower is not None:
-            return lower
-        return fs_mode_eigenvalue(params, **kwargs)
-
-    def stepping(params, grid):
-        steps.append(params.b)
-        return step_positive(params, grid)
-
-    m.setattr(spectrum, "fs_mode_eigenvalue", eigensolve)
-    m.setattr(spectrum, "_k1_step_positive", stepping)
-    return solved, steps
-
-
 def _amplitude_free_operator(params, T, dx):
-    # the k=1 operator of the steps and the upper end on the whole centred
+    # the k=1 operator of the probes and the upper end on the whole centred
     # grid of n nodes: V_1 from (p-1)(p lam^2/2) sech^2(gamma t), which
     # needs no amplitude
     n = window_nodes(T, dx)
@@ -381,34 +454,29 @@ def _amplitude_free_operator(params, T, dx):
 @pytest.mark.parametrize("N, a", [(2, -1.0), (3, -0.5), (4, -2.0)] + [
     (N, a) for N in (2, 3, 4, 5, 6) for a in (-0.3, -3.0, -8.0)])
 def test_inertia_bisection_matches_eigensolve_bisection(monkeypatch, N, a):
-    # the search eigensolves only its lower bracket end and decides the
-    # upper one with its first step; recording both gives the reference
-    # bisection the same bracket.  The reference decides each step on the
-    # eigenvalue of the sampled operator, the search on the inertia of the
-    # amplitude-free one, both on the search's own grid
-    solved, steps = _record_ends(monkeypatch)
-    found = find_fs_threshold(N, a, 1e-6)
+    # the search eigensolves only its lower bracket end and decides every
+    # probe on the centre pivot of the amplitude-free half block.  Each
+    # interior probe's sign is checked against three oracles on the
+    # search's own grid: the certified eigenvalue of the sampled operator
+    # (fs_mode_eigenvalue), Sturm counting on the whole sampled Numerov
+    # matrix (stebz), which shares no code with the dpttrf certificates,
+    # and the inertia of the whole matrix.  All three straddle the final
+    # bracket
+    found, solved, probes = _searched(monkeypatch, N, a, 1e-6)
     assert len(solved) == 1
     T, h = spectrum._fs_window(N, a, 1e-16), _search_step(N, a)
-    lo, hi = solved[0], steps[0]
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if fs_mode_eigenvalue(make_params(N, a, mid), T=T, dx=h) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    assert found == 0.5 * (lo + hi)
-    # fs_mode_eigenvalue itself rests on dpttrf certificates, so the same
-    # bisection is decided once more by Sturm counting
-    lo, hi = solved[0], steps[0]
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        op = spectrum._fs_mode_operator(make_params(N, a, mid), T, h)
-        if _stebz_principal(op) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    assert found == 0.5 * (lo + hi)
+    lo, hi = _final_bracket(found, solved, probes, 1e-6)
+
+    def signs(b):
+        params = make_params(N, a, b)
+        mu = fs_mode_eigenvalue(params, T=T, dx=h)
+        ref = _stebz_principal(spectrum._fs_mode_operator(params, T, h))
+        return mu > 0.0, ref > 0.0, _whole_matrix_step(params, T, h)
+
+    for b, pivot in probes[2:]:
+        assert signs(b) == (pivot > 0.0,) * 3, (b, pivot)
+    assert signs(lo) == (False,) * 3
+    assert signs(hi) == (True,) * 3
 
 
 def _near_threshold(a, offset, decades):
@@ -433,27 +501,29 @@ _NEAR_THRESHOLD = dict(a=st.floats(-4.0, -0.2),
 @settings(max_examples=12)
 @given(**_NEAR_THRESHOLD)
 def test_inertia_sign_matches_principal_eigenvalue(a, offset, decades):
-    # a bisection step and the bracket ends read the same sign: the even
-    # half block's inertia against the certified principal eigenvalue of
-    # the whole sampled operator that the ends solve
+    # a probe and the lower bracket end read the same sign: the even half
+    # block's centre pivot against the certified principal eigenvalue of
+    # the whole sampled operator that the lower end solves
     for params, T, h in _near_threshold(a, offset, decades):
         mu = fs_mode_eigenvalue(params, T=T, dx=h)
         if abs(mu) > 1e-9:
             grid = spectrum._k1_half_grid(T, h)
-            assert spectrum._k1_step_positive(params, grid) == (mu > 0.0)
+            pivot = spectrum._k1_centre_pivot(params, grid)
+            assert (pivot > 0.0) == (mu > 0.0)
 
 
 @settings(max_examples=12)
 @given(**_NEAR_THRESHOLD)
 def test_inertia_sign_of_the_step_operator(a, offset, decades):
-    # the half block's sign against the Sturm count (stebz) of the whole
+    # the centre pivot's sign against the Sturm count (stebz) of the whole
     # sampled k = 1 Numerov matrix on the same centred grid, which shares
     # no code with the dpttrf certificates
     for params, T, h in _near_threshold(a, offset, decades):
         ref = _stebz_principal(spectrum._fs_mode_operator(params, T, h))
         if abs(ref) > 1e-9:
             grid = spectrum._k1_half_grid(T, h)
-            assert spectrum._k1_step_positive(params, grid) == (ref > 0.0)
+            pivot = spectrum._k1_centre_pivot(params, grid)
+            assert (pivot > 0.0) == (ref > 0.0)
 
 
 def _broken_operator(bad):
@@ -467,14 +537,14 @@ def _broken_operator(bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_inertia_test_rejects_a_non_finite_potential(bad):
     # LAPACK's pivot test d <= 0 is false for NaN: a NaN entry of the
-    # step's diagonal (kinetic term plus potential) would read as positive
+    # probe's diagonal (kinetic term plus potential) would read as positive
     # definite if it reached the factorization, and -inf as a failed pivot
     t, diag, off, c = spectrum._k1_half_grid(40.0, 0.01)
     diag = diag.copy()
     diag[2000] = bad
     with pytest.raises(NotConverged, match="non-finite potential"):
-        spectrum._k1_step_positive(make_params(3, -1.0, -0.5),
-                                   (t, diag, off, c))
+        spectrum._k1_centre_pivot(make_params(3, -1.0, -0.5),
+                                  (t, diag, off, c))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -502,12 +572,12 @@ def test_principal_solve_stops_at_its_iteration_cap(monkeypatch):
 
 def _guarded_ends(monkeypatch, N, a):
     # the two bracket ends of find_fs_threshold, read without eigensolves:
-    # a stand-in eigenvalue of -1 at the lower end lets the search run its
-    # steps, the first of which is the upper end
+    # a stand-in eigenvalue of -1 at the lower end lets the search run, and
+    # its first centre pivot is the upper end's
     with monkeypatch.context() as m:
-        solved, steps = _record_ends(m, lower=-1.0)
+        solved, probes = _record_probes(m, lower=-1.0)
         find_fs_threshold(N, a, 1e-3)
-    return solved[0], steps[0]
+    return solved[0], probes[0][0]
 
 
 def _bracket_operators(monkeypatch, N, a_values):
@@ -562,8 +632,8 @@ def test_principal_solve_factors_without_an_eigensolve(monkeypatch):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_step_potential_matches_sampled_operator(monkeypatch, N):
-    # the step potential is (p-1)(p lam^2/2) sech^2 with no amplitude, from
-    # the step's own sech^2 on its half grid; there it agrees with
+    # the probe potential is (p-1)(p lam^2/2) sech^2 with no amplitude, from
+    # the probe's own sech^2 on its half grid; there it agrees with
     # (p-1) w*^{p-2} on the t >= 0 interior nodes of the sampled k=1
     # operator to rounding, at points across the guarded bracket short of
     # its upper end, where p - 2 = 1e-9 leaves no sampled extremal
@@ -609,12 +679,12 @@ def _nan_sech2(x):
 def test_step_gate_rejects_a_corrupted_sech2(monkeypatch, corrupt):
     params = make_params(3, -1.0, -0.5)
     grid = spectrum._k1_half_grid(40.0, 0.01)
-    spectrum._k1_step_positive(params, grid)
+    spectrum._k1_centre_pivot(params, grid)
     monkeypatch.setattr(spectrum, "_sech2_tanh", corrupt)
     with pytest.raises(UnverifiedProfile):
-        spectrum._k1_step_positive(params, grid)
+        spectrum._k1_centre_pivot(params, grid)
     # the lower end samples the extremal through profiles and passes; the
-    # upper end's step is refused
+    # upper end's pivot is refused
     with pytest.raises(UnverifiedProfile):
         find_fs_threshold(3, -1.0, 1e-3)
 
@@ -629,7 +699,7 @@ def test_threshold_samples_the_extremal_only_at_its_lower_end(monkeypatch):
             calls[name] = calls.get(name, 0) + 1
             if name == "sample_extremal":
                 sampled.append(args[0].params.b)
-            if name == "_k1_step_positive":
+            if name == "_k1_centre_pivot":
                 stepped.append(args[0].b)
             return original(*args, **kwargs)
         monkeypatch.setattr(spectrum, name, wrapper)
@@ -637,22 +707,72 @@ def test_threshold_samples_the_extremal_only_at_its_lower_end(monkeypatch):
     for name in ("extremal_form", "sample_extremal", "build_mode_operator",
                  "residual_autonomous", "fs_mode_eigenvalue",
                  "principal_eigenvalue", "_k1_half_grid",
-                 "_k1_step_positive"):
+                 "_k1_centre_pivot"):
         counting(name)
     find_fs_threshold(4, -2.0, 1e-6)
-    steps = calls.pop("_k1_step_positive")
-    assert steps >= 19  # the bracket is wider than 2^19 tol
+    # the probe count is test_threshold_search_stays_within_its_probe_bound's
+    assert calls.pop("_k1_centre_pivot") == len(stepped) >= 3
     assert calls.pop("_k1_half_grid") == 1
     assert calls == {"extremal_form": 1, "sample_extremal": 1,
                      "build_mode_operator": 1, "residual_autonomous": 1,
                      "fs_mode_eigenvalue": 1, "principal_eigenvalue": 1}
-    # the one sample is the lower end: every step, the upper end's first,
-    # lies above it
-    assert sampled[0] < min(stepped)
+    # the one sample is the lower end, whose pivot is the second: every
+    # other pivot, the upper end's first, lies above it
+    assert stepped[1] == sampled[0] < min(stepped[:1] + stepped[2:])
+
+
+# N = 2..6 over the benchmark's fs-curve band of a, and (2, -0.88), where
+# the search takes its most probes
+_PROBE_BAND = [(N, float(a)) for N in range(2, 7)
+               for a in np.linspace(-4.0, -0.1, 14)] + [(2, -0.88)]
+
+
+def test_threshold_search_stays_within_its_probe_bound(monkeypatch):
+    # the mirror of the shoot search's bound: ITP with n0 = 1 takes at most
+    # one interior probe more than bisection from the same two ends to the
+    # same width, and on the band far fewer on average (bisection takes 20)
+    counts = []
+    for N, a in _PROBE_BAND:
+        found, solved, probes = _searched(monkeypatch, N, a, 1e-6)
+        lo, hi = solved[0], probes[0][0]
+        steps = 0
+        while hi - lo > 1e-6:
+            lo, steps = 0.5 * (lo + hi), steps + 1
+        interior = len(probes) - 2
+        assert interior <= steps + 1, (N, a, interior, steps)
+        counts.append(interior)
+    assert np.mean(counts) <= 9.0, counts
+
+
+def test_no_probe_on_the_band_stops_before_the_centre(monkeypatch):
+    # dpttrf stops before the centre row only where the well holds a second
+    # k = 1 state below 0, at deep lower ends; on the band every probe, the
+    # ends included, has a value
+    for N, a in _PROBE_BAND:
+        probes = _searched(monkeypatch, N, a, 1e-6)[2]
+        assert not any(math.isnan(pivot) for _, pivot in probes), (N, a)
+
+
+def test_an_early_stop_counts_as_negative_without_a_value(monkeypatch):
+    # at the lower end of (2, -50), p - 2 = 0.2, dpttrf stops one row short
+    # of the centre (info = n - 1).  The pivot is NaN: negative, like the
+    # eigensolve there, with no value for ITP, so the first interior probe
+    # is the midpoint; the search still lands on the closed form
+    N, a = 2, -50.0
+    found, solved, probes = _searched(monkeypatch, N, a, 1e-6)
+    (top, _), (bottom, pivot) = probes[:2]
+    grid = spectrum._k1_half_grid(spectrum._fs_window(N, a, 1e-16),
+                                  _search_step(N, a))
+    d, off, _ = spectrum._k1_half_block(make_params(N, a, bottom), grid)
+    assert scipy.linalg.lapack.dpttrf(d[::-1], off[::-1])[2] == d.size - 1
+    assert math.isnan(pivot)
+    assert probes[2][0] == 0.5 * (bottom + top)
+    _final_bracket(found, solved, probes, 1e-6)
+    assert abs(found - b_fs(N, a)) <= 1e-6
 
 
 def test_refusal_eigensolves_the_upper_end_on_its_half_block():
-    # a refusal carries mu_hi, the principal eigenvalue of the step's even
+    # a refusal carries mu_hi, the principal eigenvalue of the probe's even
     # half block at hi; it agrees with Sturm bisection on the whole
     # amplitude-free Numerov matrix there, where the sampled amplitude
     # underflows
@@ -705,9 +825,9 @@ def test_every_admissible_a_gets_a_threshold_or_a_typed_error(N):
 
 
 def _whole_matrix_step(params, T, dx):
-    # the bisection step before the half block: V_1 from exp(2 ln sech) on
-    # all n nodes of the centred grid, and dpttrf on the whole (n-2)-row
-    # Numerov matrix M(0)
+    # the sign test before the half block: V_1 from exp(2 ln sech) on all
+    # n nodes of the centred grid, and dpttrf on the whole (n-2)-row
+    # Numerov matrix M(0), positive definite exactly when mu_1 > 0
     form = extremal_form(params)
     n = window_nodes(T, dx)
     t = dx * (np.arange(n) - (n - 1) / 2.0)
@@ -722,27 +842,25 @@ def _whole_matrix_step(params, T, dx):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_half_block_thresholds_match_the_whole_matrix(monkeypatch, N):
-    # the search against the same bisection stepped on the whole matrix,
-    # from the same two ends: at the search's own window (an odd interior
-    # count) and, where tol 1e-3 allows it, at T = 10.025 (an even one at
-    # the search's step 0.05)
+    # every probe of the search decided by the inertia of the whole
+    # matrix: at the search's own window (an odd interior count) and,
+    # where tol 1e-3 allows it, at T = 10.025 (an even one at the search's
+    # step 0.05); the whole matrix straddles the final bracket too
     cases = [(a, 1e-6, None) for a in (-0.3, -1.0, -2.5, -4.0, -8.0)]
     cases += [(a, 1e-3, 10.025) for a in (-1.0, -2.5, -4.0, -8.0)
               if spectrum._fs_window(N, a, 1e-3) <= 10.025]
     for a, tol, T in cases:
-        with monkeypatch.context() as m:
-            solved, steps = _record_ends(m)
-            found = find_fs_threshold(N, a, tol, T=T)
+        found, solved, probes = _searched(monkeypatch, N, a, tol, T=T)
         window = spectrum._fs_window(N, a, 1e-16) if T is None else T
-        lo, hi = solved[0], steps[0]
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if _whole_matrix_step(make_params(N, a, mid), window,
-                                  _search_step(N, a)):
-                hi = mid
-            else:
-                lo = mid
-        assert found == 0.5 * (lo + hi)
+        lo, hi = _final_bracket(found, solved, probes, tol)
+
+        def whole(b):
+            return _whole_matrix_step(make_params(N, a, b), window,
+                                      _search_step(N, a))
+
+        for b, pivot in probes[2:]:
+            assert whole(b) == (pivot > 0.0), (a, b, pivot)
+        assert not whole(lo) and whole(hi)
     assert len(cases) >= 7
 
 
@@ -750,16 +868,18 @@ def test_half_block_thresholds_match_the_whole_matrix(monkeypatch, N):
                                           (3, -1.0, 1e-3, 10.005),
                                           (3, -1.0, 1e-3, 12.3456)])
 def test_each_step_factors_the_half_block(monkeypatch, N, a, tol, T):
-    # with the lower end stood in by -1, every dpttrf call is a step's,
-    # the first at the upper end: each factors the ceil((n-2)/2) rows of
-    # the even half block on the t >= 0 interior nodes of the lower end's
-    # centred grid, and no step builds a ModeOperator.  The search's own
+    # with the lower end's eigenvalue stood in by -1, every dpttrf call is
+    # a centre pivot's, the upper end's first and the lower end's second:
+    # each factors the ceil((n-2)/2) rows of the even half block on the
+    # t >= 0 interior nodes of the lower end's centred grid, in reverse
+    # order from the wall to the centre, and no probe builds a
+    # ModeOperator.  The search's own
     # step is h = 0.05 at (4, -2); an explicit T comes here with an
     # explicit step 0.01, which gives even interior counts (2000 and
     # 2468).  2T/h is not an integer at T = 12.3456, where the centred
     # grid starts at -(n-1) h / 2 = -12.345, not at -T.  Each factored
     # block is the even parity block of the Numerov matrix M(0) of the
-    # sampled operator that the lower end eigensolves, at the step's b,
+    # sampled operator that the lower end eigensolves, at the probe's b,
     # and at the upper end, which has no sampled extremal, of the
     # amplitude-free operator on the same grid
     window = spectrum._fs_window(N, a, 1e-16) if T is None else T
@@ -772,15 +892,15 @@ def test_each_step_factors_the_half_block(monkeypatch, N, a, tol, T):
     assert np.max(np.abs(nodes[-1 - t.size:-1] - t)) <= 1e-12
     blocks, steps, built = [], [], []
     dpttrf = scipy.linalg.lapack.dpttrf
-    step_positive = spectrum._k1_step_positive
+    centre_pivot = spectrum._k1_centre_pivot
 
     def counting(d, e, **kwargs):
         blocks.append((d.copy(), e.copy()))  # dpttrf overwrites d
         return dpttrf(d, e, **kwargs)
 
-    def stepping(params, grid):
+    def pivoting(params, grid):
         steps.append(params.b)
-        return step_positive(params, grid)
+        return centre_pivot(params, grid)
 
     def operator(*args, **kwargs):
         built.append(1)
@@ -789,7 +909,7 @@ def test_each_step_factors_the_half_block(monkeypatch, N, a, tol, T):
     monkeypatch.setattr(spectrum, "fs_mode_eigenvalue",
                         lambda params, **kwargs: -1.0)
     monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", counting)
-    monkeypatch.setattr(spectrum, "_k1_step_positive", stepping)
+    monkeypatch.setattr(spectrum, "_k1_centre_pivot", pivoting)
     monkeypatch.setattr(spectrum, "ModeOperator", operator)
     find_fs_threshold(N, a, tol, T=T, dx=None if T is None else h)
     monkeypatch.undo()
@@ -805,6 +925,7 @@ def test_each_step_factors_the_half_block(monkeypatch, N, a, tol, T):
         d_end, e_end = spectrum._parity_blocks(
             _numerov_diagonal(op.potential[1:-1], h, 0.0),
             np.full(n - 3, -1.0 / h ** 2))[0]
+        d_end, e_end = d_end[::-1], e_end[::-1]
         assert e.tobytes() == e_end.tobytes()
         assert np.max(np.abs(d - d_end) / np.abs(d_end)) <= 1e-12
 
