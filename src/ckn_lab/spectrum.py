@@ -167,6 +167,8 @@ class _Numerov:
     def __init__(self, kin: np.ndarray, e: np.ndarray, V: np.ndarray,
                  h: float):
         self.kin, self.e, self.V, self.c = kin, e, V, h * h / 12.0
+        # 1 - cV, so that 1 - h^2 u/12 = 1 - cV + cs takes one operation
+        self.base = 1.0 - self.c * V
         self._last = (None,)
         self.top = float(np.max(V))
         spread = self.top - float(np.min(V))
@@ -175,30 +177,48 @@ class _Numerov:
                      + 2.0 * float(np.max(np.abs(e))))
 
     def _terms(self, s: float):
-        # w = 1/(1 - h^2 u/12) and g = u w, so that the diagonal is
-        # kin + g; the last shift's are kept, because the Newton search of
-        # root starts at the shift that was factored last
+        # g = u w and W^2 = w^2 = -M'(s), w = 1/(1 - h^2 u/12), so that the
+        # diagonal is kin + g; the last shift's are kept, because the
+        # weighted solve and the Newton search of root start at the shift
+        # that was factored last
         if self._last[0] != s:
-            u = self.V - s
-            w = 1.0 / (1.0 - self.c * u)
-            self._last = (s, w, u * w)
+            w = 1.0 / (self.base + self.c * s)
+            self._last = (s, (self.V - s) * w, w * w)
         return self._last[1:]
 
     def at(self, s: float) -> np.ndarray:
-        return self.kin + self._terms(s)[1]
+        return self.kin + self._terms(s)[0]
+
+    def weight(self, s: float) -> np.ndarray:
+        """The diagonal W(s)^2 = -M'(s)."""
+        return self._terms(s)[1]
 
     def root(self, x: np.ndarray, lower: float,
              tol: float) -> Tuple[float, float]:
-        # Newton on f from the certified shift, where f > 0.  With
-        # f'(s) = -x^T W^2 x and f''(s) = 2c x^T W^3 x, c = h^2/12, f is
-        # decreasing and convex, so every iterate stays at or below the
-        # root, and a step of length delta from s leaves at most
-        # 4 c max(w) delta^2 to go, with max(w) at its largest at the
-        # start.  The search stops once that is below tol: one evaluation
-        # (at the factored shift) near convergence, two or three before.
-        # The distance ||M(mu) x|| / -f'(mu) is the residual scaled by the
-        # slope of the eigenvalue in s; M(mu) x is taken to first order
-        # from the last evaluation, within the same bound
+        """The root mu of the Rayleigh functional f(s) = x^T M(s) x above
+        the certified shift ``lower``, and the distance
+        ||M(mu) x|| / -f'(mu) of the unit vector x from an eigenvector.
+
+        Newton on f from ``lower``, where f > 0.  With
+        f'(s) = -x^T W^2 x and f''(s) = 2c x^T W^3 x, c = h^2/12, f is
+        decreasing and convex, so every iterate stays at or below the
+        root, and a step of length delta from s leaves at most
+        4 c max(w) delta^2 to go, with max(w) at its largest at the
+        start.  The search stops once that is below tol.  The distance is
+        the residual scaled by the slope of the eigenvalue in s; M(mu) x
+        is taken to first order from the last evaluation, within the same
+        bound.
+
+        The x here is a step of Newton-weighted inverse iteration,
+        M(lower) y = W(lower)^2 x (:func:`_principal_pair`; Ruhe, SIAM J.
+        Numer. Anal. 10 (1973); Guttel and Tisseur, Acta Numerica 26
+        (2017)), whose roots close on mu_1 quadratically.  So fewer roots
+        are computed near convergence, where one evaluation (at the
+        factored shift) suffices, and the rest take two or three: 2.1
+        evaluations per root on the benchmark's fs-curve band.  The
+        caller's early return skips the root of the last factored shift
+        altogether once that shift is within tol of the current root.
+        """
         kx = self.kin * x
         kx[:-1] += self.e * x[1:]
         kx[1:] += self.e * x[:-1]
@@ -207,8 +227,7 @@ class _Numerov:
         bound = 4.0 * self.c / (1.0 - self.c * (self.top - lower))
         s = lower
         for _ in range(_NEWTON_MAX_ITER):
-            w, g = self._terms(s)
-            ww = w * w
+            g, ww = self._terms(s)
             slope = float(xx @ ww)
             step = (kinetic + float(xx @ g)) / slope
             s += step
@@ -219,7 +238,7 @@ class _Numerov:
 
     def vector(self, z: np.ndarray, mu: float) -> np.ndarray:
         # y = z / (1 - h^2 (V - mu)/12) on the same nodes
-        return z / (1.0 - self.c * (self.V - mu))
+        return z / (self.base + self.c * mu)
 
 
 _PRINCIPAL_MAX_ITER = 60
@@ -233,9 +252,14 @@ def _principal_pair(k: int, family, x: np.ndarray,
     family M(s) (:class:`_Numerov`), whose eigenvalues all fall as the
     shift s rises, of the level-k operator's whole interior or of one of
     its parity blocks (:func:`_parity_blocks`).  mu_1 is the s at which
-    the family's smallest eigenvalue reaches 0.  By inverse iteration
-    with shifts from below, from the first shift ``sigma`` and the
-    positive start ``x`` (overwritten).
+    the family's smallest eigenvalue reaches 0.  By nonlinear inverse
+    iteration with shifts from below, x <- M(sigma)^-1 W(sigma)^2 x with
+    W(sigma)^2 = -M'(sigma) (Ruhe, SIAM J. Numer. Anal. 10 (1973); survey:
+    Guttel and Tisseur, Acta Numerica 26 (2017)), from the first shift
+    ``sigma`` and the positive start ``x`` (overwritten).  The weight is
+    Newton's step for the nonlinear family, so the gap mu - sigma shrinks
+    quadratically, where the unweighted iteration x <- M(sigma)^-1 x
+    shrinks it by a steady factor (about 146 per step at (N, a) = (3, -2)).
 
     Every shift sigma is certified to lie below mu_1 by a successful
     LDL^T factorization of the family at sigma (dpttrf; Sylvester's law
@@ -247,12 +271,17 @@ def _principal_pair(k: int, family, x: np.ndarray,
     ||M(mu) x|| / -f'(mu), with the step halved toward
     sigma while the factorization fails, at most _SHIFT_TRIES times.
     Stops when mu - sigma is 8 ulps of the family's Gershgorin norm
-    bound.  The matrix at sigma is positive definite with e < 0, so its
-    inverse is entrywise positive and so is every iterate from a
-    positive start.  The start does not enter the certificate; callers
-    pass the well's depth profile (:func:`_well_start`): on the
-    benchmark's fs-curve band it takes 7.7 successful and no failed
-    dpttrf calls per solve, against 9.1 and 0.8 from x = ones.
+    bound: after a solve and a root, or as soon as a newly factored shift
+    lies that close to the current root, whose interval (sigma, mu] is
+    then already certified.  The matrix at sigma is positive definite
+    with e < 0, so its inverse is entrywise positive, W^2 is a positive
+    diagonal, and so every iterate from a positive start is positive.
+    The start does not enter the certificate; callers pass the well's
+    depth profile (:func:`_well_start`): on the benchmark's fs-curve band
+    (N = 2..6, ten values of a in [-4, -1.5], at the threshold search's
+    lower end) it takes 5.54 successful dpttrf calls per solve, at most
+    6, and no failed one, against 6.3 and 0.8 from x = ones (7.8 and 0
+    from the well, 9.1 and 0.8 from ones, unweighted).
     """
     # imported on first use: commands that never solve start without scipy
     from scipy.linalg.lapack import dpttrf, dpttrs
@@ -269,8 +298,8 @@ def _principal_pair(k: int, family, x: np.ndarray,
         raise NotConverged("no positive definite shift at the Gershgorin bound",
                            k=k, shift=sigma)
     for _ in range(_PRINCIPAL_MAX_ITER):
-        x = dpttrs(lu[0], lu[1], x, overwrite_b=1)[0]
-        x /= np.linalg.norm(x)
+        x = dpttrs(lu[0], lu[1], family.weight(sigma) * x, overwrite_b=1)[0]
+        x /= math.sqrt(x @ x)
         mu, dist = family.root(x, sigma, tol)
         if mu - sigma <= tol:
             return mu, x
@@ -281,6 +310,8 @@ def _principal_pair(k: int, family, x: np.ndarray,
             trial = factor(sigma + step)
             if trial is not None:
                 sigma, lu = sigma + step, trial
+                if mu - sigma <= tol:
+                    return mu, x
                 break
             step *= 0.5
     raise NotConverged(
@@ -392,7 +423,13 @@ def principal_eigenvalue(op: ModeOperator, *,
     factorization, each root of the Rayleigh functional bounds it from
     above, and the solve stops when the two are 8 ulps of the matrix
     norm apart, or raises NotConverged after 60 iterations
-    (:func:`_principal_pair`).  Truncation error decays like
+    (:func:`_principal_pair`).  The iteration is Newton-weighted inverse
+    iteration x <- M(sigma)^-1 (-M'(sigma)) x (Ruhe, SIAM J. Numer.
+    Anal. 10 (1973); Guttel and Tisseur, Acta Numerica 26 (2017)), which
+    closes that gap quadratically and returns as soon as a factored shift
+    is within it: 5.54 factorizations per solve on the threshold search's
+    lower ends of the benchmark's band, at most 6, where the unweighted
+    iteration took 7.8.  Truncation error decays like
     e^{-2 sqrt(asymptote - mu) T}.
 
     The potential must have reached its asymptote at both grid ends to

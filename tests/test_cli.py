@@ -336,13 +336,13 @@ def test_fs_curve_bytes_are_pinned_at_an_even_interior_count(
 # eigenvalues of the even and the odd half block of the k = 0 Numerov
 # matrix, each certified by dpttrf shifts, on the step 0.2/(lam p) = 0.044
 # and the window T = 19.  Sturm bisection on the whole Numerov matrix gives
-# mu1 = -2.812500130054631 and mu2 = -4.2112378739744827e-07, 2.3e-14 and
-# 9.8e-15 away; the closed forms are -2.8125 and 0
+# mu1 = -2.812500130054631 and mu2 = -4.2112378739744827e-07, 2.4e-14 and
+# 1.1e-14 away; the closed forms are -2.8125 and 0
 _PINNED_SPECTRUM = """k,lambda_k,mu1,mu2
-0,0,-2.8125001300546537,-4.2112377762396925e-07
-1,2,-0.81250013005465371,1.9999995788762224
-2,6,3.1874998699453463,5.9999995788762224
-3,12,9.1874998699453467,11.999999578876222
+0,0,-2.8125001300546546,-4.2112377618448265e-07
+1,2,-0.8125001300546546,1.9999995788762237
+2,6,3.1874998699453454,5.9999995788762241
+3,12,9.187499869945345,11.999999578876224
 """
 
 
@@ -359,16 +359,16 @@ def test_spectrum_bytes_are_pinned(capsys):
 # same grid
 _ODD_GRID_SPECTRA = [
     (["--N", "3", "--a=-1", "--b=-0.5", "--dt", "0.3"],
-     "0,0,-2.8127768625259257,-0.00089881059032640798\n"
-     "1,2,-0.81277686252592574,1.9991011894096735\n",
+     "0,0,-2.8127768625259262,-0.00089881059032613216\n"
+     "1,2,-0.81277686252592618,1.999101189409674\n",
      (-2.8127768625259195, -0.000898810590311605)),
     (["--N", "3", "--a=-1", "--b=-0.5", "--dt", "0.007"],
-     "0,0,-2.8125000000799809,-2.589884646789958e-10\n"
-     "1,2,-0.81250000007998091,1.9999999997410116\n",
+     "0,0,-2.8125000000799858,-2.5898574388760226e-10\n"
+     "1,2,-0.8125000000799858,1.9999999997410143\n",
      (-2.812500000084997, -2.567066559322484e-10)),
     (["--N", "3", "--a=-3", "--b=-2.5", "--T", "10.005", "--dt", "0.01"],
-     "0,0,-15.312500053770355,-1.7410648501855015e-07\n"
-     "1,2,-13.312500053770355,1.999999825893515\n",
+     "0,0,-15.312500053770352,-1.7410649616683233e-07\n"
+     "1,2,-13.312500053770352,1.9999998258935039\n",
      (-15.31250005377202, -1.7410650166027608e-07)),
 ]
 
@@ -876,6 +876,14 @@ _PINNED_ERRORS = [
      {"code": "resolution_too_large",
       "context": {"kmax": 1000000000, "limit": 2000},
       "message": "spectrum table limited to 2000 modes"}),
+    # near p = 2 with p lam^2/2 < 1 the amplitude underflows to 0, and the
+    # empty well's table read mu1 = 0.0100000002 and mu2 = 0.0100000009
+    # with exit 0, against the closed forms -2.0e-5 and 0; refused as
+    # extremal and energy refuse it
+    (["spectrum", "--N", "2", "--a=-0.1", "--b=0.899"],
+     {"code": "degenerate_params",
+      "context": {"a": -0.1, "b": 0.899, "lam": 0.1, "p": 2.002002002002002},
+      "message": "extremal amplitude underflows double precision as p -> 2"}),
 ]
 
 
@@ -1071,6 +1079,32 @@ def test_discrepancies_are_built_once_with_the_same_bytes(capsys, tmp_path,
     capsys.readouterr()
     assert written[0] == written[1]
     assert written[0].decode() == cli._discrepancies_text()
+
+
+def test_discrepancies_are_restored_but_not_rewritten(capsys, tmp_path,
+                                                      monkeypatch):
+    # every call brings the file to the document's bytes, and an
+    # identical file is left as it is
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "discrepancies.json"
+    argv = ["classify", "--N", "3", "--a=-1", "--b=-0.8"]
+    want = cli._discrepancies_text().encode()
+    assert main(argv) == 0
+    assert target.read_bytes() == want
+    for damage in (target.unlink,
+                   lambda: target.write_bytes(want[:-2] + b"]\n"),
+                   lambda: target.write_bytes(want + b" "),
+                   lambda: target.write_bytes(b"\xff" * 10)):
+        damage()
+        assert main(argv) == 0
+        assert target.read_bytes() == want
+    os.utime(target, ns=(1, 1))
+    assert main(argv) == 0
+    assert main(["fs-curve", "--N", "3", "--a-min=-1", "--a-max=-1",
+                 "--steps", "1"]) == 0
+    assert target.stat().st_mtime_ns == 1
+    assert target.read_bytes() == want
+    capsys.readouterr()
 
 
 def test_module_entry_point_writes_discrepancies_to_cwd(tmp_path):

@@ -608,7 +608,8 @@ def test_principal_solve_matches_sturm_bisection(monkeypatch, N):
 
 def test_principal_solve_factors_without_an_eigensolve(monkeypatch):
     # one principal solve on the benchmark's band: no stebz call and at
-    # most 15 LDL^T factorizations
+    # most 7 LDL^T factorizations (these 45 operators take at most 6 by
+    # Newton-weighted inverse iteration, and 8 unweighted)
     def refused(*args, **kwargs):
         raise AssertionError("principal solve called eigh_tridiagonal")
 
@@ -627,7 +628,39 @@ def test_principal_solve_factors_without_an_eigensolve(monkeypatch):
                 m.setattr(scipy.linalg.lapack, "dpttrf", counting)
                 factored.clear()
                 principal_eigenvalue(op, asymptote_tol=math.inf)
-                assert 1 <= len(factored) <= 15
+                assert 1 <= len(factored) <= 7
+
+
+def test_lower_end_solve_converges_quadratically(monkeypatch):
+    # the threshold search's one eigensolve, at its guarded lower end, on
+    # the benchmark's band: Newton-weighted inverse iteration takes 5.54
+    # dpttrf calls per solve on average, where the linearly convergent
+    # unweighted iteration took 7.80
+    counts, inside = [], []
+    dpttrf = scipy.linalg.lapack.dpttrf
+    solve = spectrum.fs_mode_eigenvalue
+
+    def counting(*args, **kwargs):
+        if inside:
+            counts[-1] += 1
+        return dpttrf(*args, **kwargs)
+
+    def lower_end(*args, **kwargs):
+        counts.append(0)
+        inside.append(1)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", counting)
+    monkeypatch.setattr(spectrum, "fs_mode_eigenvalue", lower_end)
+    for N in (2, 3, 4, 5, 6):
+        for a in np.linspace(-4.0, -1.5, 10):
+            find_fs_threshold(N, float(a), 1e-3)
+    assert len(counts) == 50
+    assert min(counts) >= 1
+    assert sum(counts) / len(counts) <= 6.0
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
