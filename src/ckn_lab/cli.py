@@ -41,7 +41,6 @@ from .params import (
     region_label,
 )
 from .profiles import (
-    _log_amplitude,
     dualize_profile,
     extremal_form,
     read_profile_csv,
@@ -322,12 +321,9 @@ def _cmd_spectrum(args) -> int:
             f"spectrum table limited to {MAX_MAP_NODES} modes",
             kmax=kmax, limit=MAX_MAP_NODES)
     n = window_nodes(T, dx)
-    # an amplitude that underflowed to 0 samples an empty well, whose
-    # table would read lam^2 for both eigenvalues: refused as extremal and
-    # energy refuse it
-    _log_amplitude(form)
-    # centred on t = 0, where the well is even: the two eigenvalues come
-    # from the even and odd half blocks, which need a persymmetric matrix
+    # centred on t = 0, where the well is exactly even: the two eigenvalues
+    # come from the even and odd half blocks, which need a persymmetric
+    # matrix
     profile = sample_extremal(form, -(n - 1) * dx / 2.0, dx, n)
     # V_k = V_0 + lambda_k exactly: every mode has the eigenvectors of
     # mode 0 and its eigenvalues shifted by lambda_k

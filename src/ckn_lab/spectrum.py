@@ -9,7 +9,9 @@ Schrodinger operator
     V_k(t) = lam^2 + k(k+N-2) - (p-1) w*(t)^{p-2}.
 
 Since w*^{p-2} = (p lam^2 / 2) sech^2(gamma t), each L_k is an exactly
-solvable sech^2 well; with nu = p/(p-2) its bound states are
+solvable sech^2 well, and every potential here is formed from that
+closed form (:func:`_mode_potential`), never from sampled values; with
+nu = p/(p-2) its bound states are
 
     mu_n(k) = lam^2 + k(k+N-2) - gamma^2 (nu - n)^2,   n = 0, 1, ...
 
@@ -79,7 +81,7 @@ class ModeOperator:
 
 @dataclass(frozen=True, eq=False)
 class EigenReport:
-    """Eigenvalue of index ``index`` (0 = principal) of one mode operator.
+    """One eigenvalue of a level-k mode operator and its eigenvector.
 
     The eigenvector is L2-normalized, sign-fixed to be nonnegative at its
     largest component, and includes the Dirichlet boundary zeros.
@@ -88,19 +90,26 @@ class EigenReport:
     k: int
     mu: float
     eigenvector: np.ndarray
-    truncation: float
-    dx: float
-    index: int = 0
 
 
 def build_mode_operator(extremal: LogGridProfile, k: int) -> ModeOperator:
-    """Assemble V_k on the extremal's grid.
+    """Assemble V_k on the extremal's grid from its closed form.
 
     The profile must actually be a homoclinic: its autonomous residual is
     re-checked against 1e-8 times the size of the equation's terms, so the
     gate is meaningful at any amplitude (near p = 2 the amplitude grows
     like exp(2 ln lam / (p-2)) while the relative residual of a sampled
-    closed form stays at rounding level).
+    closed form stays at rounding level).  A profile with no closed form
+    (``extremal.form``) is refused with UnverifiedProfile.
+
+    The potential never reads the samples: :func:`_mode_potential` forms
+    it from (p lam^2/2) sech^2(gamma (t - t_c)), so an amplitude that
+    underflowed to 0 keeps its well.  Each t - t_c is dt (j - (n-1)/2),
+    exactly odd about the grid's centre node, plus the centre's offset
+    t0 + (n-1) dt/2 - t_c, and sech^2 is taken at its absolute value.  On
+    a grid centred at t_c the offset is 0 and the potential is exactly
+    even; its right half is bit for bit the threshold probes' half block
+    (:func:`_k1_half_block`) on the same grid.
     """
     if k < 0 or k != int(k):
         raise InvalidStep(f"harmonic level k must be a nonnegative integer, got {k}")
@@ -114,24 +123,42 @@ def build_mode_operator(extremal: LogGridProfile, k: int) -> ModeOperator:
             f"profile residual {res:.3e} exceeds the gate {gate:.3e}",
             residual=res, gate=gate,
         )
+    form = extremal.form
+    if form is None:
+        raise UnverifiedProfile(
+            "profile has no closed form to build the mode potential from")
     lambda_k = float(k * (k + p.N - 2))
-    w = extremal.values
-    V = p.lam ** 2 + lambda_k - (p.p - 1.0) * np.abs(w) ** (p.p - 2.0)
+    t0, dt, n = extremal.t0, extremal.dt, extremal.n
+    offset = t0 + (n - 1) * dt / 2.0 - form.center
+    x = np.abs(form.rate * (dt * (np.arange(n) - (n - 1) / 2.0) + offset))
+    V = _mode_potential(p, lambda_k, _sech2_tanh(x)[0])
     return ModeOperator(k=int(k), lambda_k=lambda_k, potential=V,
-                        grid=(extremal.t0, extremal.dt, extremal.n), params=p)
+                        grid=(t0, dt, n), params=p)
+
+
+def _mode_potential(params: CknParams, lambda_k: float,
+                    sech2: np.ndarray) -> np.ndarray:
+    """V_k = lam^2 + lambda_k - (p-1) w*^{p-2} of harmonic level
+    lambda_k = k(k+N-2), with w*^{p-2} = (p lam^2/2) sech^2(gamma t) given
+    by its ``sech2``: the one place a mode potential is formed.  It needs
+    no amplitude."""
+    depth = params.p * params.lam * params.lam / 2.0  # max of w*^{p-2}
+    return params.lam ** 2 + lambda_k - (params.p - 1.0) * (depth * sech2)
 
 
 def asymptote_window(params: CknParams) -> float:
     """Half-width T of [-T, T] where the well (p-1) w*^{p-2} ~ 2p(p-1) lam^2
-    e^{-lam (p-2) T} is below 1e-10 (24.5 is -ln(1e-10) = 23.0 plus a
-    margin), and at least 18.5/|lam|, where the Dirichlet walls move the
+    e^{-lam (p-2) T} is below 1e-10 min(1, lam^2) (24.5 is
+    -ln(1e-10) = 23.0 plus a margin), so within the asymptote gate's
+    absolute 1e-10 and, below lam = 1, at the same depth relative to the
+    well, and at least 18.5/|lam|, where the Dirichlet walls move the
     translation mode, which decays like e^{-|lam| t}, by e^{-2 |lam| T}
     < 1e-16.  Both scale like 1/|lam|, so a step proportional to
     1/(|lam| p) puts the same node count on every well of a given p."""
     p, lam = params.p, abs(params.lam)
-    log_dev = math.log(p - 1.0) + math.log(2.0 * p * lam * lam)
-    return float(math.ceil(max((log_dev + 24.5) / (lam * (p - 2.0)),
-                               18.5 / lam)))
+    top = max(lam, 1.0)
+    log_dev = math.log(p - 1.0) + math.log(2.0 * p * top * top)
+    return max((log_dev + 24.5) / (lam * (p - 2.0)), 18.5 / lam)
 
 
 def _kinetic(m: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -323,8 +350,8 @@ def _well_start(op: ModeOperator) -> np.ndarray:
     """A positive start shaped like the well, asymptote - V on the interior
     nodes (a sech^2 for every operator built here), much nearer the ground
     state than a constant.  The 1e-12 floor keeps the start positive where
-    the well rounds to 0; an empty well (an underflowed amplitude) starts
-    from ones."""
+    the well rounds to 0; a flat potential, which only a directly built
+    ModeOperator has, starts from ones."""
     well = np.maximum(op.asymptote - op.potential[1:-1], 0.0)
     top = float(np.max(well))
     return well / top + 1e-12 if top > 0.0 else np.ones(well.size)
@@ -393,10 +420,9 @@ def _interior(op: ModeOperator, asymptote_tol: float) -> np.ndarray:
 
 
 def _reports(op: ModeOperator, pairs) -> List[EigenReport]:
-    t0, dt, n = op.grid
-    T = (n - 1) * dt / 2.0
+    n = op.grid[2]
     out = []
-    for i, (mu, x) in enumerate(pairs):
+    for mu, x in pairs:
         vec = np.zeros(n)
         vec[1:-1] = x
         nrm = math.sqrt(float(np.sum(vec * vec)))
@@ -404,8 +430,7 @@ def _reports(op: ModeOperator, pairs) -> List[EigenReport]:
         if vec[int(np.argmax(np.abs(vec)))] < 0:
             vec = -vec
         vec.setflags(write=False)
-        out.append(EigenReport(k=op.k, mu=mu, eigenvector=vec,
-                               truncation=T, dx=dt, index=i))
+        out.append(EigenReport(k=op.k, mu=mu, eigenvector=vec))
     return out
 
 
@@ -466,8 +491,8 @@ def mode_eigenvalues(op: ModeOperator, count: int = 2, *,
     t0 = -(n-1) h / 2; any potential with max |V(t) - V(-t)| above
     SYMMETRY_GATE (1e-12) times max |V| is refused with InvalidStep, its
     asymmetry in the context: an off-centre grid or an odd part of the
-    potential, not rounding (sampled sech^2 wells on centred grids are
-    even to about 1e-14).
+    potential, not rounding (the potentials of :func:`build_mode_operator`
+    are exactly even on grids centred at the well).
     """
     if count not in (1, 2):
         raise InvalidStep(f"count must be 1 or 2, got {count}", count=count)
@@ -573,9 +598,12 @@ def _k1_half_block(params: CknParams, grid):
     (:class:`_Numerov`), at ``params`` on the grid of :func:`_k1_half_grid`.
 
     V_1 = lam^2 + (N-1) - (p-1) w*^{p-2} with w*^{p-2} = (p lam^2/2)
-    sech^2(gamma t) needs no amplitude: beta = 2/(p-2) and
+    sech^2(gamma t) is :func:`_mode_potential`'s, as for every mode
+    operator, and needs no amplitude: beta = 2/(p-2) and
     gamma = lam (p-2)/2 come from (p, lam), which the search keeps at
     lam > 0 and p > 2, and sech^2 and tanh from one u = e^{-2 gamma t}.
+    The lower end's whole-matrix potential (:func:`_fs_mode_operator`)
+    has this block's V on its right interior half, bit for bit.
     The relative residual w_tt/w - lam^2 + w^{p-2} = gamma^2 (beta^2
     tanh^2 - beta sech^2) - lam^2 + (p lam^2/2) sech^2, even in t, must
     stay below RESIDUAL_GATE times lam^2 + p lam^2/2 (UnverifiedProfile),
@@ -597,7 +625,7 @@ def _k1_half_block(params: CknParams, grid):
             f"k=1 potential residual {res:.3e} exceeds the gate {gate:.3e}",
             residual=res, gate=gate,
         )
-    V = lam2 + (params.N - 1.0) - (params.p - 1.0) * (depth * sech2)
+    V = _mode_potential(params, params.N - 1.0, sech2)
     d = kin + V / (1.0 - c * V)
     _refuse_non_finite(params, 1, d)
     return d, off, V

@@ -335,14 +335,14 @@ def test_fs_curve_bytes_are_pinned_at_an_even_interior_count(
 # the spectrum table pinned byte for byte: mu1 and mu2 are the principal
 # eigenvalues of the even and the odd half block of the k = 0 Numerov
 # matrix, each certified by dpttrf shifts, on the step 0.2/(lam p) = 0.044
-# and the window T = 19.  Sturm bisection on the whole Numerov matrix gives
-# mu1 = -2.812500130054631 and mu2 = -4.2112378739744827e-07, 2.4e-14 and
-# 1.1e-14 away; the closed forms are -2.8125 and 0
+# and the window T = 18.53.  Sturm bisection on the whole Numerov matrix
+# gives mu1 = -2.812500130054673 and mu2 = -4.2112380072012456e-07, 1.5e-14
+# and 2.1e-14 away; the closed forms are -2.8125 and 0
 _PINNED_SPECTRUM = """k,lambda_k,mu1,mu2
-0,0,-2.8125001300546546,-4.2112377618448265e-07
-1,2,-0.8125001300546546,1.9999995788762237
-2,6,3.1874998699453454,5.9999995788762241
-3,12,9.187499869945345,11.999999578876224
+0,0,-2.8125001300546577,-4.2112377996219348e-07
+1,2,-0.81250013005465771,1.9999995788762199
+2,6,3.1874998699453423,5.9999995788762197
+3,12,9.1874998699453414,11.999999578876221
 """
 
 
@@ -359,17 +359,17 @@ def test_spectrum_bytes_are_pinned(capsys):
 # same grid
 _ODD_GRID_SPECTRA = [
     (["--N", "3", "--a=-1", "--b=-0.5", "--dt", "0.3"],
-     "0,0,-2.8127768625259262,-0.00089881059032613216\n"
-     "1,2,-0.81277686252592618,1.999101189409674\n",
-     (-2.8127768625259195, -0.000898810590311605)),
+     "0,0,-2.8127768625575689,-0.00089881046565803838\n"
+     "1,2,-0.81277686255756887,1.999101189534342\n",
+     (-2.812776862557598, -0.0008988104656424412)),
     (["--N", "3", "--a=-1", "--b=-0.5", "--dt", "0.007"],
-     "0,0,-2.8125000000799858,-2.5898574388760226e-10\n"
-     "1,2,-0.8125000000799858,1.9999999997410143\n",
-     (-2.812500000084997, -2.567066559322484e-10)),
+     "0,0,-2.8125000000800373,-2.5897801832605542e-10\n"
+     "1,2,-0.81250000008003731,1.999999999741022\n",
+     (-2.812500000080149, -2.568327772678458e-10)),
     (["--N", "3", "--a=-3", "--b=-2.5", "--T", "10.005", "--dt", "0.01"],
-     "0,0,-15.312500053770352,-1.7410649616683233e-07\n"
-     "1,2,-13.312500053770352,1.9999998258935039\n",
-     (-15.31250005377202, -1.7410650166027608e-07)),
+     "0,0,-15.312500053770362,-1.7410647831983397e-07\n"
+     "1,2,-13.312500053770362,1.9999998258935217\n",
+     (-15.312500053772027, -1.7410656205640862e-07)),
 ]
 
 
@@ -408,6 +408,67 @@ def test_spectrum_rows_at_a_tiny_lam(capsys, a):
     # need 46,523,601 nodes at lam = 1e-5.  mu1 = -3 lam^2 and mu2 = 0
     errors = _table_errors(capsys, 2, a, 0.5)
     assert max(errors) <= 1e-6 * a * a
+
+
+def _spectrum_answer(capsys, N, a, b):
+    # (exit code, (mu1, mu2) of the k = 0 row or the error payload) of
+    # one spectrum table at its own window and step
+    code = main(["spectrum", "--N", str(N), f"--a={a!r}", f"--b={b!r}",
+                 "--kmax", "0"])
+    out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+        return code, json.loads(err)
+    assert err == ""
+    return code, tuple(float(v) for v in out.splitlines()[1].split(",")[2:])
+
+
+def _answer_error(N, a, b, mu):
+    # the larger distance of (mu1, mu2) from the closed forms
+    # mu1 = -lam^2 (p-2)(p+2)/4, free of the cancellation in
+    # lam^2 - gamma^2 nu^2 near p = 2, and mu2 = 0, relative to |mu1|
+    params = make_params(N, a, b)
+    closed = -params.lam ** 2 * (params.p - 2.0) * (params.p + 2.0) / 4.0
+    return max(abs(mu[0] - closed), abs(mu[1])) / abs(closed)
+
+
+# points that the table refused.  Where the amplitude underflows to 0 the
+# sampled well was empty and the table read mu1 = 0.0100000002 and
+# mu2 = 0.0100000009 with exit 0, then degenerate_params; it now reads
+# mu1 = -2.0030040050070173e-05 against -2.0030040050061e-05 and
+# mu2 = -5.5e-17.  The steep N = 2 well's rounded nodes were uneven by
+# 2.8e-12 (invalid_step), and the window rounded up to a whole number at
+# lam = 1e6 needed 30M nodes (resolution_too_large)
+@pytest.mark.parametrize("N, a, b", [(2, -0.1, 0.899), (2, -1.0, -0.999),
+                                     (3, -1e6, -999999.5)])
+def test_spectrum_answers_where_it_refused(capsys, N, a, b):
+    code, mu = _spectrum_answer(capsys, N, a, b)
+    assert code == 0, mu
+    assert _answer_error(N, a, b, mu) <= 1e-6
+
+
+def test_spectrum_answers_across_lam_and_p_or_refuses_an_overflow(capsys):
+    # N in {2, 3, 6}, lam = a_c - a over twelve decades and b - a from
+    # 1e-3 to 0.999: every table is within 1e-6 |mu1| of both closed forms,
+    # and exactly the points whose amplitude A = (p lam^2/2)^(1/(p-2))
+    # overflows, ln A > 700, are refused with degenerate_params
+    answered = 0
+    for N in (2, 3, 6):
+        for lam in (1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6):
+            a = (N - 2) / 2.0 - lam
+            for gap in (1e-3, 0.01, 0.3, 0.7, 0.99, 0.999):
+                b = a + gap
+                params = make_params(N, a, b)
+                log_amp = (math.log(params.p * params.lam ** 2 / 2.0)
+                           / (params.p - 2.0))
+                code, mu = _spectrum_answer(capsys, N, a, b)
+                if log_amp > 700.0:
+                    assert code == 2 and mu["code"] == "degenerate_params"
+                    continue
+                assert code == 0, (N, a, b, mu)
+                assert _answer_error(N, a, b, mu) <= 1e-6, (N, a, b, mu)
+                answered += 1
+    assert answered == 112
 
 
 def test_spectrum_rows_match_the_closed_forms_on_the_point_mix_band(capsys):
@@ -876,14 +937,6 @@ _PINNED_ERRORS = [
      {"code": "resolution_too_large",
       "context": {"kmax": 1000000000, "limit": 2000},
       "message": "spectrum table limited to 2000 modes"}),
-    # near p = 2 with p lam^2/2 < 1 the amplitude underflows to 0, and the
-    # empty well's table read mu1 = 0.0100000002 and mu2 = 0.0100000009
-    # with exit 0, against the closed forms -2.0e-5 and 0; refused as
-    # extremal and energy refuse it
-    (["spectrum", "--N", "2", "--a=-0.1", "--b=0.899"],
-     {"code": "degenerate_params",
-      "context": {"a": -0.1, "b": 0.899, "lam": 0.1, "p": 2.002002002002002},
-      "message": "extremal amplitude underflows double precision as p -> 2"}),
 ]
 
 

@@ -38,9 +38,11 @@ from ckn_lab import (
     make_params,
     mode_eigenvalues,
     principal_eigenvalue,
+    read_profile_csv,
     sample_extremal,
     sample_radial_form,
     spectrum,
+    write_profile_csv,
 )
 from ckn_lab import params as params_module
 from ckn_lab.profiles import _log_sech, window_nodes
@@ -210,11 +212,13 @@ def test_sturm_node_counts():
 
 
 def test_box_oracle_for_constant_potential():
+    # a flat potential has no profile's closed form, so it is built
+    # directly; its start vector is the solver's ones
     params = make_params(3, 0.0, 0.0)
     T = 20.0
-    zero = LogGridProfile(t0=-T, dt=0.005, values=np.zeros(8001),
-                          params=params)
-    op = build_mode_operator(zero, 0)
+    op = ModeOperator(k=0, lambda_k=0.0,
+                      potential=np.full(8001, params.lam ** 2),
+                      grid=(-T, 0.005, 8001), params=params)
     mu = principal_eigenvalue(op).mu
     box = (math.pi / (2 * T)) ** 2
     assert np.isclose(mu - params.lam ** 2, box, rtol=1e-3)
@@ -230,12 +234,23 @@ def test_asymptote_gate_and_override():
     assert mu < -1.9  # still a usable estimate on the short window
 
 
-def test_operator_rejects_non_solution_profile():
+def test_operator_rejects_non_solution_profile(tmp_path):
     params = make_params(3, -1.0, -0.2)
     printed = sample_radial_form(params, (params.p - 1.0) * params.lam,
                                  -40.0, 0.01, 8001)
     with pytest.raises(UnverifiedProfile):
         build_mode_operator(printed, 0)
+    # profiles with no closed form to build the potential from, whose
+    # residual passes: the zero profile, and the extremal's own samples
+    # read back from a profile CSV
+    zero = LogGridProfile(t0=-20.0, dt=0.005, values=np.zeros(8001),
+                          params=params)
+    path = tmp_path / "profile.csv"
+    write_profile_csv(sample_extremal(extremal_form(params), -40.0, 0.01,
+                                      8001), path)
+    for formless in (zero, read_profile_csv(path, params)):
+        with pytest.raises(UnverifiedProfile, match="no closed form"):
+            build_mode_operator(formless, 0)
 
 
 def test_fs_mode_eigenvalue_signs():
@@ -666,34 +681,26 @@ def test_lower_end_solve_converges_quadratically(monkeypatch):
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_step_potential_matches_sampled_operator(monkeypatch, N):
     # the probe potential is (p-1)(p lam^2/2) sech^2 with no amplitude, from
-    # the probe's own sech^2 on its half grid; there it agrees with
-    # (p-1) w*^{p-2} on the t >= 0 interior nodes of the sampled k=1
-    # operator to rounding, at points across the guarded bracket short of
-    # its upper end, where p - 2 = 1e-9 leaves no sampled extremal
-    t = spectrum._k1_half_grid(40.0, 0.01)[0]
-    checked = 0
+    # the probe's own sech^2 on its half grid; it is bit for bit the t >= 0
+    # interior of the sampled k=1 operator, at points across the guarded
+    # bracket short of its upper end, where p - 2 = 1e-9 leaves no sampled
+    # extremal
+    grid = spectrum._k1_half_grid(40.0, 0.01)
+    t = grid[0]
     for a in (-0.3, -3.0, -8.0):
         lo, hi = _guarded_ends(monkeypatch, N, a)
         for b in np.linspace(lo, hi, 9)[:-1]:
             params = make_params(N, a, float(b))
-            sech2 = spectrum._sech2_tanh(extremal_form(params).rate * t)[0]
+            V = spectrum._k1_half_block(params, grid)[2]
             depth = (params.p - 1.0) * params.p * params.lam ** 2 / 2.0
             asymptote = params.lam ** 2 + N - 1.0
-            step = asymptote - depth * sech2
-            assert np.isclose(step.min(), asymptote - depth, rtol=1e-12)
-            if extremal_form(params).amplitude == 0.0:
-                # A = (p lam^2/2)^{1/(p-2)} underflows near p = 2 when
-                # p lam^2/2 < 1: the sampled profile is zero there, and
-                # only the step potential keeps its well
-                continue
+            assert np.isclose(V.min(), asymptote - depth, rtol=1e-12)
             sampled = spectrum._fs_mode_operator(params, 40.0, 0.01)
             t0, dt, n = sampled.grid
             nodes = (t0 + dt * np.arange(n))[-1 - t.size:-1]
             assert np.max(np.abs(nodes - t)) <= 1e-12
             half = sampled.potential[-1 - t.size:-1]
-            assert np.max(np.abs(step - half)) <= 1e-13 * depth
-            checked += 1
-    assert checked >= 20
+            assert half.tobytes() == V.tobytes()
 
 
 def _scaled_sech2(x):
@@ -708,18 +715,24 @@ def _nan_sech2(x):
     return sech2, th
 
 
-@pytest.mark.parametrize("corrupt", [_scaled_sech2, _nan_sech2])
-def test_step_gate_rejects_a_corrupted_sech2(monkeypatch, corrupt):
+@pytest.mark.parametrize("corrupt, refusal", [
+    (_scaled_sech2, UnverifiedProfile), (_nan_sech2, NotConverged)],
+    ids=["_scaled_sech2", "_nan_sech2"])
+def test_step_gate_rejects_a_corrupted_sech2(monkeypatch, corrupt, refusal):
     params = make_params(3, -1.0, -0.5)
     grid = spectrum._k1_half_grid(40.0, 0.01)
     spectrum._k1_centre_pivot(params, grid)
     monkeypatch.setattr(spectrum, "_sech2_tanh", corrupt)
     with pytest.raises(UnverifiedProfile):
         spectrum._k1_centre_pivot(params, grid)
-    # the lower end samples the extremal through profiles and passes; the
-    # upper end's pivot is refused
-    with pytest.raises(UnverifiedProfile):
+    # the lower end's potential reads the same sech^2.  Scaled, it passes
+    # there, whose residual gate reads the sampled profile, and the upper
+    # end's pivot is refused; a NaN is refused at the lower end as a
+    # non-finite potential, before the upper end's gate runs
+    with pytest.raises(refusal) as info:
         find_fs_threshold(3, -1.0, 1e-3)
+    if refusal is NotConverged:
+        assert "non-finite potential" in info.value.message
 
 
 def test_threshold_samples_the_extremal_only_at_its_lower_end(monkeypatch):
@@ -961,6 +974,40 @@ def test_each_step_factors_the_half_block(monkeypatch, N, a, tol, T):
         d_end, e_end = d_end[::-1], e_end[::-1]
         assert e.tobytes() == e_end.tobytes()
         assert np.max(np.abs(d - d_end) / np.abs(d_end)) <= 1e-12
+
+
+# points on both sides of a_c, a steep N = 2 well whose rounded nodes made
+# the sampled potential uneven by 2.8e-12, and one whose amplitude
+# A = (p lam^2/2)^{1/(p-2)} underflows to 0
+_EVEN_POINTS = [(3, -1.0, -0.5), (3, 1.0, 1.5), (2, -1.0, -0.999),
+                (2, -0.1, 0.899), (6, -3.0, -2.2)]
+
+
+@pytest.mark.parametrize("N, a, b", _EVEN_POINTS)
+def test_mode_potential_is_exactly_even_on_centred_grids(N, a, b):
+    # build_mode_operator's potential on the centred grid of an odd and of
+    # an even node count is its own mirror image bit for bit, at every
+    # level k, and below a_c its k = 1 interior right half is the threshold
+    # probes' half block on the same grid; on an off-centre grid it is not
+    # even
+    params = make_params(N, a, b)
+    form = extremal_form(params)
+    h = _table_step(params)
+    n = window_nodes(asymptote_window(params), h)
+    for nodes in (n, n + 1):
+        prof = sample_extremal(form, -(nodes - 1) * h / 2.0, h, nodes)
+        for k in (0, 1, 3):
+            V = build_mode_operator(prof, k).potential
+            assert V.tobytes() == V[::-1].tobytes()
+            assert V.min() < V[0] == V[-1]
+        if params.lam > 0.0:
+            grid = spectrum._k1_half_grid((nodes - 1) * h / 2.0, h)
+            half = spectrum._k1_half_block(params, grid)[2]
+            whole = build_mode_operator(prof, 1).potential
+            assert whole[-1 - half.size:-1].tobytes() == half.tobytes()
+    shifted = sample_extremal(form, -(n - 1) * h / 2.0 + 0.3 * h, h, n)
+    V = build_mode_operator(shifted, 0).potential
+    assert not np.array_equal(V, V[::-1])
 
 
 def _centred_operator(N, a, b, n, dx=0.01):
