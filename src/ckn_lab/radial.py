@@ -85,7 +85,9 @@ BLOWUP_LIMIT = 1e8
 
 def _rk4_step(w, v, h, lam2, q):
     """One classical RK4 step of w_t = v, v_t = lam2 w - |w|^q w; returns
-    the new (w, v).  The first stage's w-slope is v itself."""
+    the new (w, v).  The first stage's w-slope is v itself.
+    :func:`_rk4_classify` repeats these operations inline; the two must
+    stay the same, bit for bit."""
     k1v = lam2 * w - abs(w) ** q * w
     k2w = v + 0.5 * h * k1v
     w2 = w + 0.5 * h * v
@@ -106,20 +108,37 @@ def _rk4_classify(w0, v0, h, n_max, lam2, pm1):
     Returns (event, t, w, v), with (w, v) the state at time t:
     event 1 = crossed w <= 0 (overshoot),
     event 2 = turned (w_t >= 0 while w > 0, after the first step),
-    event 3 = blow-up (|w| past the limit, or |w|^q past the float range;
+    event 3 = blow-up (w past the limit, or |w|^q past the float range;
     the state is then the last one reached),
     event 0 = no event within n_max steps.
+
+    This is the shooting search's hot loop, so it spells out
+    :func:`_rk4_step`'s float operations in the same order, bit for bit
+    (``0.5 * h`` is hoisted, which rounds the same).  The blow-up test
+    reads w, not |w|: it runs only after w <= 0 has returned.
     """
     q = pm1 - 1.0
+    hh = 0.5 * h
     w, v = w0, v0
     try:
         for i in range(n_max):
-            w, v = _rk4_step(w, v, h, lam2, q)
+            k1v = lam2 * w - abs(w) ** q * w
+            k2w = v + hh * k1v
+            w2 = w + hh * v
+            k2v = lam2 * w2 - abs(w2) ** q * w2
+            k3w = v + hh * k2v
+            w3 = w + hh * k2w
+            k3v = lam2 * w3 - abs(w3) ** q * w3
+            k4w = v + h * k3v
+            w4 = w + h * k3w
+            k4v = lam2 * w4 - abs(w4) ** q * w4
+            w = w + h * (v + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
+            v = v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
             if w <= 0.0:
                 return 1, (i + 1) * h, w, v
             if v >= 0.0:
                 return 2, (i + 1) * h, w, v
-            if abs(w) > BLOWUP_LIMIT:
+            if w > BLOWUP_LIMIT:
                 return 3, (i + 1) * h, w, v
     except OverflowError:  # |w|^q left the float range inside step i
         return 3, (i + 1) * h, w, v
@@ -233,8 +252,11 @@ def _itp_probe(lo: float, hi: float, g_lo: float, g_hi: float,
     into the radius r = eps 2^left - (hi - lo)/2 of the midpoint, where
     ``left`` is the caller's n_max - j.  The projection keeps the count
     within n0 probes of bisection's to width 2 eps, for n_max the
-    bisection count plus n0.  Any other pair of values (a NaN included)
-    gives the midpoint, as does a probe that rounds onto an end."""
+    bisection count plus n0.  A probe that rounds onto an end takes the
+    adjacent float inside the bracket instead, while that float is within
+    r of the midpoint: a root within half an ulp of an end then closes
+    the bracket in one probe.  Any other pair of values (a NaN included)
+    gives the midpoint, as does an end whose adjacent float lies past r."""
     mid = 0.5 * (lo + hi)
     if not g_lo > 0.0 > g_hi:
         return mid
@@ -244,7 +266,13 @@ def _itp_probe(lo: float, hi: float, g_lo: float, g_hi: float,
     m_t = m_f + math.copysign(delta, gap) if delta <= abs(gap) else mid
     r = max(0.0, eps * 2.0 ** left - 0.5 * width)
     m = m_t if abs(m_t - mid) <= r else mid - math.copysign(r, gap)
-    return m if lo < m < hi else mid
+    if lo < m < hi:
+        return m
+    if m <= lo:
+        m = math.nextafter(lo, hi)
+    elif m >= hi:
+        m = math.nextafter(hi, lo)
+    return m if lo < m < hi and abs(m - mid) <= r else mid
 
 
 def shoot_homoclinic(params: CknParams, t_max: float, tol: float,
@@ -256,10 +284,13 @@ def shoot_homoclinic(params: CknParams, t_max: float, tol: float,
     homoclinic peak, a turning point (w_t >= 0 with w > 0) means below.
     The bracket [w_eq, 2 w_eq] always straddles the peak because
     A/w_eq = (p/2)^{1/(p-2)} lies in (1, e^{1/2}) and E(2 w_eq) > 0.
-    Only the events move the bracket.  Each probe is an ITP step: the
-    secant root of g = w^2 - w_t^2/lam^2 at the two ends' event steps,
+    Only the events move the bracket.  The lower end w_eq is the centre
+    equilibrium, whose orbit never reaches w = 0, so it is not run: it
+    counts as a turn at t = 0 with g = w_eq^2.  Each probe is an ITP step:
+    the secant root of g = w^2 - w_t^2/lam^2 at the two ends' event steps,
     which is linear in m near the peak, kept close enough to the midpoint
-    that the search takes at most one probe more than bisection.  A point
+    that the search takes at most one probe more than bisection; a secant
+    root that rounds onto an end probes the adjacent float.  A point
     so near p = 2 that w_eq = lam^{2/(p-2)} leaves the float range raises
     DegenerateParams before any step.
 
@@ -319,13 +350,15 @@ def shoot_homoclinic(params: CknParams, t_max: float, tol: float,
         ev, t_ev, w, v = _rk4_classify(m, 0.0, h, n_fine, lam2, pm1)
         return ev, t_ev, w * w - v * v / lam2
 
+    # the centre w_eq is a turn at t = 0 (w_t = 0, g = w_eq^2) without a
+    # run; run from it, the orbit only drifts on rounding noise
     lo, hi = w_eq, 2.0 * w_eq
-    ev_lo, t_lo, g_lo = probe(lo)
+    t_lo, g_lo = 0.0, w_eq * w_eq
     ev_hi, _, g_hi = probe(hi)
-    if not (ev_lo in (0, 2) and ev_hi == 1):
+    if ev_hi != 1:
         raise NoConvergence(
             "bracket endpoints do not classify as oscillation/crossing",
-            lo=lo, hi=hi, event_lo=int(ev_lo), event_hi=int(ev_hi),
+            lo=lo, hi=hi, event_hi=int(ev_hi),
         )
     # search all the way to rounding so the undershoot trajectory tracks
     # the homoclinic until deep below the tail-patch trigger; the caller's

@@ -29,7 +29,13 @@ from ckn_lab import (
     shoot_homoclinic,
     spherical_average_monotone,
 )
-from ckn_lab.radial import _rk4_classify, _rk4_store, _shoot_substeps
+from ckn_lab.radial import (
+    BLOWUP_LIMIT,
+    _itp_probe,
+    _rk4_classify,
+    _rk4_store,
+    _shoot_substeps,
+)
 
 
 def test_first_integral_drift_small_step():
@@ -188,11 +194,13 @@ def _bisection_peak(params, dt):
 
 
 def _count_probes(monkeypatch):
+    # one (args, result) pair per classify run
     calls = []
 
     def counting(*args):
-        calls.append(args)
-        return _rk4_classify(*args)
+        result = _rk4_classify(*args)
+        calls.append((args, result))
+        return result
 
     monkeypatch.setattr("ckn_lab.radial._rk4_classify", counting)
     return calls
@@ -247,7 +255,7 @@ def test_shoot_search_takes_few_probes_in_the_benchmark_band(monkeypatch):
     # the band perfbench's shoot workload draws from: lam in [4.7, 5],
     # p in [2.6, 2.85]; bisection takes 53 or 54 probes there
     calls = _count_probes(monkeypatch)
-    counts = []
+    counts, steps = [], []
     for i, N in enumerate((2, 3, 4, 5, 6, 2, 3, 4, 5, 6)):
         lam = 4.7 + 0.3 * i / 9.0
         p = 2.85 - 0.25 * ((3 * i) % 10) / 9.0
@@ -256,7 +264,57 @@ def test_shoot_search_takes_few_probes_in_the_benchmark_band(monkeypatch):
         calls.clear()
         _shot_peak(make_params(N, a, a + s))
         counts.append(len(calls))
-    assert np.mean(counts) <= 20.0, counts
+        # RK4 steps: each run's event time over its step
+        steps.append(sum(res[1] / args[2] for args, res in calls))
+    assert np.mean(counts) <= 15.0 and max(counts) <= 17, counts
+    assert np.mean(steps) <= 7000.0, steps
+
+
+def test_shoot_never_runs_the_centre_end(monkeypatch):
+    # w_eq is the centre equilibrium: its class is known without a run,
+    # so every classify run starts strictly inside (w_eq, 2 w_eq]
+    calls = _count_probes(monkeypatch)
+    for (N, a, b) in [(3, 0.0, 0.0), (2, -5.0, -5.0 + 2 / 2.7),
+                      (4, -3.5, -3.0), (2, -5.0, -4.9)]:
+        params = make_params(N, a, b)
+        w_eq = math.exp(2.0 * math.log(params.lam) / (params.p - 2.0))
+        calls.clear()
+        _shot_peak(params)
+        starts = [args[0] for args, _ in calls]
+        assert starts[0] == 2.0 * w_eq
+        assert min(starts) > w_eq, (N, a, b)
+
+
+def test_shoot_refuses_a_blown_up_upper_end_without_a_lower_event():
+    # the grid's p = 2.1, lam >= 5 points put w_eq past the blow-up
+    # limit: the upper end blows up, and the unrun lower end reports
+    # no event
+    refused = 0
+    for params in _admissible_grid():
+        w_eq = params.lam ** (2.0 / (params.p - 2.0))
+        if w_eq <= BLOWUP_LIMIT:
+            continue
+        with pytest.raises(NoConvergence) as info:
+            shoot_homoclinic(params, t_max=40.0, tol=1e-6, dt=0.04)
+        assert info.value.code == "no_convergence"
+        assert sorted(info.value.context) == ["event_hi", "hi", "lo"]
+        assert info.value.context["event_hi"] == 3
+        refused += 1
+    assert refused == 10
+
+
+def test_itp_probe_takes_the_float_next_to_an_end():
+    # a secant root within half an ulp of an end rounds onto it; the
+    # probe is then the adjacent float inside the bracket
+    lo, hi = 1.0, 2.0
+    assert _itp_probe(lo, hi, 1e-20, -1.0, 0.0, 1.0, 0) == math.nextafter(lo, hi)
+    assert _itp_probe(lo, hi, 1.0, -1e-20, 0.0, 1.0, 0) == math.nextafter(hi, lo)
+    # r = 0 projects every probe onto the midpoint
+    assert _itp_probe(lo, hi, 1e-20, -1.0, 0.0, 0.0, 0) == 1.5
+    assert _itp_probe(lo, hi, 1.0, -1e-20, 0.0, 0.0, 0) == 1.5
+    # no float between adjacent ends: the midpoint, as before
+    up = math.nextafter(lo, hi)
+    assert _itp_probe(lo, up, 1e-20, -1.0, 0.0, 1.0, 0) == 0.5 * (lo + up)
 
 
 def test_shoot_profile_matches_closed_form_pointwise():
